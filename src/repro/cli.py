@@ -200,8 +200,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             text = federated_plan(args.aggregate).describe()
         else:
             text = planner.explain(method, semantics, pruning=pruning,
-                                   temporal=args.temporal,
-                                   kernels=args.kernels)
+                                   temporal=args.temporal)
         blocks.append(text)
     print("\n\n".join(blocks))
     return 0
@@ -273,58 +272,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_matrix(args: argparse.Namespace) -> int:
-    import json
-
-    from .eval.matrix import (
-        MatrixConfig,
-        diff_matrix,
-        list_cells,
-        render_matrix,
-        run_matrix,
-        validate_matrix_report,
-        write_report,
-    )
-
-    config = (MatrixConfig.smoke() if args.smoke
-              else MatrixConfig(seed=args.seed))
-    if args.list_cells:
-        for cell in list_cells(config):
-            print(cell)
-        return 0
-    try:
-        payload = run_matrix(config, only_cell=args.cell or None)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    problems = validate_matrix_report(payload)
-    if problems:
-        for problem in problems:
-            print(f"invalid matrix report: {problem}", file=sys.stderr)
-        return 1
-    if args.output:
-        write_report(payload, args.output)
-        print(f"wrote {args.output}")
-    print(render_matrix(payload))
-    if args.diff is not None:
-        with open(args.diff) as handle:
-            committed = json.load(handle)
-        notes = diff_matrix(payload, committed)
-        for note in notes:
-            print(f"diff vs {args.diff}: {note}", file=sys.stderr)
-        if not notes:
-            print(f"no speedup drift vs {args.diff}", file=sys.stderr)
-    if not payload["results_identical"]:
-        print("kernel parity violated: batched results diverged from "
-              "scalar", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.matrix or args.list_cells or args.cell or args.diff is not None:
-        return _cmd_bench_matrix(args)
-
     from .eval.bench import (
         BenchConfig,
         render_summary,
@@ -771,21 +719,12 @@ def _cmd_perf_contract(args: argparse.Namespace) -> int:
 
     query_payload = read_report(args.query_report)
     ingest_payload = read_report(args.ingest_report)
-    matrix_payload = read_report(args.matrix_report)
     serve_payload = read_report(args.serve_report)
     if query_payload is None and ingest_payload is None \
-            and matrix_payload is None and serve_payload is None:
-        print(f"error: none of {args.query_report}, {args.ingest_report}, "
-              f"{args.matrix_report} or {args.serve_report} exists",
-              file=sys.stderr)
+            and serve_payload is None:
+        print(f"error: none of {args.query_report}, {args.ingest_report} "
+              f"or {args.serve_report} exists", file=sys.stderr)
         return 2
-    if matrix_payload is not None:
-        from .eval.matrix import validate_matrix_report
-        matrix_problems = validate_matrix_report(matrix_payload)
-        if matrix_problems:
-            for problem in matrix_problems:
-                print(f"invalid matrix report: {problem}", file=sys.stderr)
-            return 1
     if serve_payload is not None:
         from .eval.serve_bench import validate_serve_bench_report
         serve_problems = validate_serve_bench_report(serve_payload)
@@ -795,10 +734,10 @@ def _cmd_perf_contract(args: argparse.Namespace) -> int:
             return 1
 
     current = extract_headlines(query_payload, ingest_payload,
-                                matrix_payload, serve_payload)
+                                serve_payload)
     if args.write_baseline:
         baseline = build_baseline(query_payload, ingest_payload,
-                                  matrix_payload, serve_payload)
+                                  serve_payload)
         parent = os.path.dirname(args.baseline)
         if parent:
             os.makedirs(parent, exist_ok=True)
@@ -983,10 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--semantics", choices=("and", "or"), default="or")
     explain.add_argument("--no-pruning", action="store_true",
                          help="show the max path without upper-bound pruning")
-    explain.add_argument("--kernels", choices=("scalar", "batched"),
-                         default="scalar",
-                         help="operator kernel selection for the sum/max "
-                              "pipelines (batched = columnar fused ops)")
     explain.add_argument("--temporal", action="store_true",
                          help="include the temporal clipping stage")
     explain.set_defaults(func=_cmd_explain)
@@ -1028,21 +963,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--max-overhead", type=float, default=1.05,
                        help="fail when enabled/disabled latency ratio "
                             "exceeds this budget")
-    bench.add_argument("--matrix", action="store_true",
-                       help="run the scalar-vs-batched kernel matrix "
-                            "instead of the flat-vs-block bench")
-    bench.add_argument("--smoke", action="store_true",
-                       help="matrix: use the fast CI grid (latencies not "
-                            "comparable to the committed report)")
-    bench.add_argument("--list-cells", action="store_true",
-                       help="matrix: print the grid's cell ids and exit")
-    bench.add_argument("--cell", default="", metavar="ID",
-                       help="matrix: run only this cell "
-                            "(see --list-cells)")
-    bench.add_argument("--diff", default=None, metavar="FILE", nargs="?",
-                       const="BENCH_matrix.json",
-                       help="matrix: report speedup drift against a "
-                            "committed report (default BENCH_matrix.json)")
     bench.set_defaults(func=_cmd_bench)
 
     ingest = commands.add_parser(
@@ -1215,8 +1135,6 @@ def build_parser() -> argparse.ArgumentParser:
     contract.add_argument("--query-report", default="BENCH_query.json",
                           metavar="FILE")
     contract.add_argument("--ingest-report", default="BENCH_ingest.json",
-                          metavar="FILE")
-    contract.add_argument("--matrix-report", default="BENCH_matrix.json",
                           metavar="FILE")
     contract.add_argument("--serve-report", default="BENCH_serve.json",
                           metavar="FILE")

@@ -1,8 +1,8 @@
 """Numpy-optional columnar batch primitives.
 
 The batched query kernels (``repro.geo.distance.haversine_km_batch``,
-``BlockPostingsReader.decode_block_arrays``, the fused operators in
-``repro.query.pipeline.batched``) all build on this module.  Two
+``BlockPostingsReader.decode_block_arrays``, the query operators in
+``repro.query.pipeline.operators``) all build on this module.  Two
 backends exist:
 
 ``numpy``
@@ -168,7 +168,7 @@ def select_top_k(scored: Sequence[Tuple[int, float]], k: int
     The numpy path partial-selects the k-th largest score with
     ``np.partition`` and only sorts the boundary superset (all entries
     with ``score >= cut``, so ties are never dropped); the fallback is
-    the plain heap-free sort the scalar ``RankOp`` performs.  Exact
+    the plain heap-free sort.  Exact
     float comparisons throughout — no tolerance is involved, so the
     selection is bitwise-faithful to the scalar path.
     """

@@ -24,11 +24,6 @@ class ScoringConfig:
     alpha: float = 0.5
     keyword_normalizer: float = 40.0
     epsilon: float = 0.1
-    #: which kernel family the planner should select: "scalar" (the
-    #: per-element reference pipeline), "batched" (columnar operators),
-    #: or "auto" (batched wherever it exists — results are bitwise
-    #: identical either way, so this is purely a performance knob).
-    kernels: str = "scalar"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -37,15 +32,6 @@ class ScoringConfig:
             raise ValueError(f"N must be positive: {self.keyword_normalizer}")
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be non-negative: {self.epsilon}")
-        if self.kernels not in ("scalar", "batched", "auto"):
-            raise ValueError("kernels must be 'scalar', 'batched' or "
-                             f"'auto': {self.kernels!r}")
-
-    def resolved_kernels(self) -> str:
-        """The concrete kernel family ("auto" resolves to batched: the
-        columnar layer always has a working backend — numpy when
-        importable and calibrated, the stdlib fallback otherwise)."""
-        return "batched" if self.kernels == "auto" else self.kernels
 
 
 DEFAULT_CONFIG = ScoringConfig()

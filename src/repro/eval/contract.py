@@ -37,7 +37,7 @@ class Headline:
     """One contract metric: where it comes from and how it may move."""
 
     key: str                 # dotted name in the contract file
-    source: str              # "query" | "ingest" | "matrix" | "serve"
+    source: str              # "query" | "ingest" | "serve"
     extract: Callable[[Dict[str, Any]], Any]
     direction: str           # "higher" | "lower" | "exact"
     rel_tol: float = 0.0     # allowed regression in the bad direction
@@ -106,19 +106,6 @@ def _headlines() -> List[Headline]:
         extract=lambda p: p["compaction"]["results_identical"],
         direction="exact"))
     out.append(Headline(
-        key="matrix.results_identical", source="matrix",
-        extract=lambda p: p["results_identical"],
-        direction="exact"))
-    out.append(Headline(
-        key="matrix.largest.speedup", source="matrix",
-        extract=lambda p: p["largest_cell"]["speedup"],
-        direction="higher", rel_tol=LATENCY_TOL))
-    out.append(Headline(
-        key="matrix.largest.batched_mean_ms", source="matrix",
-        extract=lambda p: _cell(p, p["largest_cell"]["id"])["batched"][
-            "mean_ms"],
-        direction="lower", rel_tol=LATENCY_TOL))
-    out.append(Headline(
         key="serve.cached_results_identical", source="serve",
         extract=lambda p: p["cached_results_identical"],
         direction="exact"))
@@ -141,13 +128,6 @@ def _headlines() -> List[Headline]:
     return out
 
 
-def _cell(payload: Dict[str, Any], identifier: str) -> Dict[str, Any]:
-    for cell in payload["cells"]:
-        if cell["id"] == identifier:
-            return cell
-    raise KeyError(identifier)
-
-
 HEADLINES = _headlines()
 
 #: headlines that must hold absolutely (not merely vs. baseline)
@@ -158,27 +138,17 @@ MUST_BE_TRUE = (
     "query.telemetry.within_budget",
     "ingest.recovery.posts_match",
     "ingest.compaction.results_identical",
-    "matrix.results_identical",
     "serve.cached_results_identical",
 )
 
-#: headlines with an absolute floor, enforced regardless of baseline —
-#: the batched kernels must stay a real optimisation, not merely not
-#: regress relative to whatever the last commit measured.
-MUST_BE_AT_LEAST = {
-    "matrix.largest.speedup": 2.0,
-}
-
-
 def extract_headlines(query_payload: Optional[Dict[str, Any]],
                       ingest_payload: Optional[Dict[str, Any]],
-                      matrix_payload: Optional[Dict[str, Any]] = None,
                       serve_payload: Optional[Dict[str, Any]] = None
                       ) -> Dict[str, Dict[str, Any]]:
     """Pull every headline present in the given reports.  A missing
     report just skips its headlines (the checker reports coverage)."""
     payloads = {"query": query_payload, "ingest": ingest_payload,
-                "matrix": matrix_payload, "serve": serve_payload}
+                "serve": serve_payload}
     out: Dict[str, Dict[str, Any]] = {}
     for headline in HEADLINES:
         payload = payloads[headline.source]
@@ -197,13 +167,12 @@ def extract_headlines(query_payload: Optional[Dict[str, Any]],
 
 def build_baseline(query_payload: Optional[Dict[str, Any]],
                    ingest_payload: Optional[Dict[str, Any]],
-                   matrix_payload: Optional[Dict[str, Any]] = None,
                    serve_payload: Optional[Dict[str, Any]] = None
                    ) -> Dict[str, Any]:
     return {
         "schema_version": CONTRACT_SCHEMA_VERSION,
         "headlines": extract_headlines(query_payload, ingest_payload,
-                                       matrix_payload, serve_payload),
+                                       serve_payload),
     }
 
 
@@ -228,8 +197,7 @@ def check_contract(current: Dict[str, Dict[str, Any]],
     """Compare freshly extracted headlines against the baseline; returns
     human-readable violations (empty = contract holds).
 
-    Absolute checks (``MUST_BE_TRUE`` / ``MUST_BE_AT_LEAST``) run
-    first; then every baseline headline must be present and must not
+    Absolute checks (``MUST_BE_TRUE``) run first; then every baseline headline must be present and must not
     have regressed in its bad direction by more than ``rel_tol``.
     Improvements never fail."""
     problems: List[str] = []
@@ -237,19 +205,6 @@ def check_contract(current: Dict[str, Dict[str, Any]],
         entry = current.get(key)
         if entry is not None and entry["value"] is not True:
             problems.append(f"{key} must be true, got {entry['value']!r}")
-    for key, floor in MUST_BE_AT_LEAST.items():
-        entry = current.get(key)
-        if entry is None:
-            continue
-        try:
-            value = float(entry["value"])
-        except (TypeError, ValueError):
-            problems.append(f"{key} must be a number >= {floor:g}, "
-                            f"got {entry['value']!r}")
-            continue
-        if value < floor:
-            problems.append(f"{key} must be at least {floor:g} "
-                            f"(absolute floor), got {value:g}")
     for key, base_entry in sorted(baseline.get("headlines", {}).items()):
         entry = current.get(key)
         if entry is None:

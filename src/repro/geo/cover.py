@@ -14,7 +14,7 @@ are fetched in contiguous storage order.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from . import geohash
 from .distance import (
@@ -103,9 +103,9 @@ def circle_cover(center: Coordinate, radius_km: float, length: int,
     return cells
 
 
-def cover_cells_fully_inside(center: Coordinate, radius_km: float, length: int,
-                             metric: Metric = DEFAULT_METRIC) -> Tuple[List[str], List[str]]:
-    """Split a circle cover into ``(inside, boundary)`` cell lists.
+def classify_cells(center: Coordinate, radius_km: float, cells: Sequence[str],
+                   metric: Metric = DEFAULT_METRIC) -> Tuple[List[str], List[str]]:
+    """Split already-computed cover cells into ``(inside, boundary)``.
 
     ``inside`` cells lie entirely within the circle, so tweets in them need
     no exact distance check; ``boundary`` cells intersect the circle edge
@@ -114,13 +114,20 @@ def cover_cells_fully_inside(center: Coordinate, radius_km: float, length: int,
     """
     inside: List[str] = []
     boundary: List[str] = []
-    for code in circle_cover(center, radius_km, length, metric):
+    for code in cells:
         cell = geohash.decode_cell(code)
         if max_distance_to_cell(center, cell, metric) <= radius_km:
             inside.append(code)
         else:
             boundary.append(code)
     return inside, boundary
+
+
+def cover_cells_fully_inside(center: Coordinate, radius_km: float, length: int,
+                             metric: Metric = DEFAULT_METRIC) -> Tuple[List[str], List[str]]:
+    """:func:`circle_cover` split by :func:`classify_cells`."""
+    return classify_cells(center, radius_km,
+                          circle_cover(center, radius_km, length, metric), metric)
 
 
 def cover_area_ratio(center: Coordinate, radius_km: float, length: int,

@@ -42,7 +42,12 @@ def haversine_km(a: Coordinate, b: Coordinate) -> float:
     phi2 = math.radians(lat2)
     dphi = math.radians(lat2 - lat1)
     dlam = math.radians(lon2 - lon1)
-    h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
+    # Squares are ``s * s``, never ``s ** 2``: Python's ``**`` calls libm
+    # ``pow``, which is not correctly rounded, so it can differ in the
+    # last bit from the multiply the numpy kernel below performs.
+    sin_dphi = math.sin(dphi / 2.0)
+    sin_dlam = math.sin(dlam / 2.0)
+    h = sin_dphi * sin_dphi + math.cos(phi1) * math.cos(phi2) * (sin_dlam * sin_dlam)
     # Clamp against floating-point drift before asin.
     h = min(1.0, max(0.0, h))
     return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
@@ -69,7 +74,9 @@ def haversine_km_from(origin: Coordinate) -> Callable[[Coordinate], float]:
         phi2 = radians(lat2)
         dphi = radians(lat2 - lat1)
         dlam = radians(lon2 - lon1)
-        h = sin(dphi / 2.0) ** 2 + cos_phi1 * cos(phi2) * sin(dlam / 2.0) ** 2
+        sin_dphi = sin(dphi / 2.0)
+        sin_dlam = sin(dlam / 2.0)
+        h = sin_dphi * sin_dphi + cos_phi1 * cos(phi2) * (sin_dlam * sin_dlam)
         h = min(1.0, max(0.0, h))
         return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
 
@@ -93,7 +100,9 @@ def _haversine_batch_numpy(np: Any, origin: Coordinate,
     phi2 = np.radians(lat2)
     dphi = np.radians(lat2 - lat1)
     dlam = np.radians(lon2 - lon1)
-    h = np.sin(dphi / 2.0) ** 2 + cos_phi1 * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
+    sin_dphi = np.sin(dphi / 2.0)
+    sin_dlam = np.sin(dlam / 2.0)
+    h = sin_dphi * sin_dphi + cos_phi1 * np.cos(phi2) * (sin_dlam * sin_dlam)
     h = np.minimum(1.0, np.maximum(0.0, h))
     root = np.sqrt(h)
     # np.arcsin is allowed to differ from math.asin in the last ULP (it

@@ -594,6 +594,8 @@ class BlockPostingsReader:
         consulted — column consumers stream a view once, so the reader
         keeps only a last-block memo, keyed by backend so a forced
         backend switch (tests) never serves the wrong representation.
+        A block the view already holds as tuples (its last-block memo)
+        is not decoded again.
         """
         if not 0 <= block < len(self._parsed.headers):
             raise IndexError(f"block index out of range: {block}")
@@ -601,9 +603,17 @@ class BlockPostingsReader:
         if memo_key == self._last_cols_block and self._last_cols is not None:
             return self._last_cols
         header = self._parsed.headers[block]
-        tids, tfs = _decode_block_columns(self._parsed.data, header)
-        _stat_add(self._stats, "blocks_decoded")
-        _stat_add(self._stats, "bytes_decoded", header.body_len)
+        entries = self._last_entries
+        # The tuple memo holds this block (e.g. a clip() boundary block)
+        # when it starts at the block's min_tid, which no other block of
+        # the payload shares; split it instead of decoding the body again.
+        if entries and entries[0][0] == header.min_tid:
+            tids = array("q", [tid for tid, _tf in entries])
+            tfs = array("q", [tf for _tid, tf in entries])
+        else:
+            tids, tfs = _decode_block_columns(self._parsed.data, header)
+            _stat_add(self._stats, "blocks_decoded")
+            _stat_add(self._stats, "bytes_decoded", header.body_len)
         cols = (columnar.int_column(tids), columnar.int_column(tfs))
         self._last_cols_block = memo_key
         self._last_cols = cols

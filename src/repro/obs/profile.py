@@ -34,7 +34,6 @@ class QueryProfile:
     k: int = 0
     radius_km: float = 0.0
     elapsed_seconds: float = 0.0
-    kernels: str = "scalar"      # "scalar" | "batched" operator family
 
     # Candidate funnel (paper Figs 8/10/12).
     cells_covered: int = 0
@@ -115,7 +114,6 @@ class QueryProfile:
             "k": self.k,
             "radius_km": self.radius_km,
             "elapsed_seconds": self.elapsed_seconds,
-            "kernels": self.kernels,
             "cells_covered": self.cells_covered,
             "postings_lists_fetched": self.postings_lists_fetched,
             "postings_entries_read": self.postings_entries_read,
@@ -149,8 +147,7 @@ class QueryProfile:
         """Multi-line human-readable rendering (used by ``repro profile``)."""
         lines = [
             f"query: method={self.method} semantics={self.semantics} "
-            f"keywords={self.keywords} k={self.k} radius={self.radius_km:g}km "
-            f"kernels={self.kernels}",
+            f"keywords={self.keywords} k={self.k} radius={self.radius_km:g}km",
             f"elapsed: {self.elapsed_seconds * 1000:.2f} ms",
             f"funnel: cells={self.cells_covered} "
             f"postings_lists={self.postings_lists_fetched} "

@@ -2,8 +2,8 @@
 with upper-bound pruning.
 
 Identical candidate retrieval to Algorithm 4 (the plans share their
-``Cover -> PostingsFetch -> CandidateForm -> RadiusFilter`` prefix); the
-scoring stage instead runs in ranked mode — it maintains a top-k
+``Cover -> PostingsFetch -> CandidateForm`` prefix); the fused
+radius-filter-and-score stage instead runs in ranked mode — it maintains a top-k
 priority queue and, before constructing a candidate's tweet thread (the
 I/O bottleneck, Section V-B), checks whether even an *overestimated*
 user score — Definition 11's popularity bound combined with the maximum
@@ -72,9 +72,8 @@ class MaxScoreProcessor:
 
     def plan_for(self, query: TkLUSQuery):
         """The physical plan this processor would run for ``query``."""
-        return self._planner.plan_for_query(
-            "max", query, pruning=self.use_pruning,
-            kernels=self.config.resolved_kernels())
+        return self._planner.plan_for_query("max", query,
+                                            pruning=self.use_pruning)
 
     def search(self, query: TkLUSQuery, *, source: Any = None,
                cancel: Any = None) -> QueryResult:

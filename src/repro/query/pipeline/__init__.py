@@ -8,20 +8,13 @@ explicit physical operators over a shared :class:`QueryContext`, with a
 them for ``repro explain``.  All five execution paths — sum ranking,
 max ranking (pruned and ablation), the brute-force oracle, scatter-
 gather distribution and cross-platform federation — are compositions of
-these operators; adding batching, caching or new backends means adding
-or swapping one operator, not editing five processors.
+these operators; adding caching or new backends means adding or
+swapping one operator, not editing five processors.
 
 Backends plug in behind the :class:`PostingsSource` protocol
 (:class:`~repro.index.hybrid.HybridIndex` satisfies it natively).
 """
 
-from .batched import (
-    BatchCandidateFormOp,
-    BatchRankOp,
-    BatchTopKOp,
-    ColumnarTemporalClipOp,
-    FusedRadiusScoreOp,
-)
 from .context import (
     BatchCandidateResolver,
     CandidateResolver,
@@ -36,28 +29,23 @@ from .operators import (
     CandidateFormOp,
     CoverOp,
     DatasetScanOp,
+    FusedRadiusScoreOp,
     PartitionRouteOp,
     PhysicalOperator,
     PostingsFetchOp,
-    RadiusFilterOp,
     RankOp,
     ScatterGatherOp,
     TemporalClipOp,
-    ThreadScoreOp,
     TopKOp,
 )
 from .planner import PhysicalPlan, Planner, PlanSpec
 from .source import GroupedPostings, PartitionedPostingsSource, PostingsSource
 
 __all__ = [
-    "BatchCandidateFormOp",
     "BatchCandidateResolver",
-    "BatchRankOp",
-    "BatchTopKOp",
     "BoundsPruneOp",
     "CandidateFormOp",
     "CandidateResolver",
-    "ColumnarTemporalClipOp",
     "CoverOp",
     "FusedRadiusScoreOp",
     "DatasetScanOp",
@@ -72,11 +60,9 @@ __all__ = [
     "PostingsFetchOp",
     "PostingsSource",
     "QueryContext",
-    "RadiusFilterOp",
     "RankOp",
     "ScatterGatherOp",
     "TemporalClipOp",
-    "ThreadScoreOp",
     "TopKOp",
     "UserLocationColumnsProvider",
     "UserLocationsProvider",

@@ -82,8 +82,8 @@ class QueryContext:
     bounds: Optional["BoundsManager"] = None
     resolve: Optional[CandidateResolver] = None
     user_locations: Optional[UserLocationsProvider] = None
-    #: optional batch backends consumed by the batched kernels; when
-    #: absent the fused operators fall back to the scalar callables.
+    #: optional batch backends consumed by the columnar operators; when
+    #: absent they fall back to the per-element callables above.
     resolve_batch: Optional[BatchCandidateResolver] = None
     user_location_columns: Optional[UserLocationColumnsProvider] = None
     #: per-query distance closure with the query point's trigonometry
@@ -162,8 +162,8 @@ class QueryContext:
             return [(record.lat, record.lon)
                     for record in database.posts_of_user(uid)]
 
-        # Batch backends for the batched kernels, present only when the
-        # database grows them (duck-typed so test doubles keep working).
+        # Batch backends for the columnar operators, present only when
+        # the database grows them (duck-typed so test doubles keep working).
         resolve_batch: Optional[BatchCandidateResolver] = \
             getattr(database, "resolve_many", None)
         user_location_columns: Optional[UserLocationColumnsProvider] = \

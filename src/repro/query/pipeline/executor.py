@@ -46,12 +46,8 @@ def run_plan(plan: PhysicalPlan, ctx: QueryContext, *,
         if recorder is not None:
             stats.io_delta = recorder.io_delta_pages()
 
-    spec = plan.spec
-    kernels = spec.kernels if spec is not None else "scalar"
-    obs.inc(f"query.kernels.{kernels}")
     profile = ctx.profile
     if profile is not None:
-        profile.kernels = kernels
         profile.cells_covered = stats.cells_covered
         profile.candidates = stats.candidates
         profile.candidates_examined = stats.candidates_in_radius

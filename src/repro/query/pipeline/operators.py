@@ -10,13 +10,31 @@ concurrent queries.
 
 The pipeline shape shared by every execution path::
 
-    Cover -> PostingsFetch -> TemporalClip -> CandidateForm
-          -> RadiusFilter -> [BoundsPrune] -> ThreadScore
-          -> Rank -> TopK
+    Cover -> PostingsFetch -> [TemporalClip] -> CandidateForm
+          -> [BoundsPrune] -> FusedRadiusScore -> Rank -> TopK
 
-with ``DatasetScan`` replacing the first four stages for the index-free
+with ``DatasetScan`` replacing the retrieval stages for the index-free
 brute-force plan and ``PartitionRoute``/``ScatterGather`` wrapping the
 middle stages for distributed execution.
+
+The stages compute over whole candidate batches — postings columns from
+:meth:`BlockPostingsReader.column_view`, one metadata gather per batch
+(``resolve_batch``), one vectorized haversine pass
+(:func:`repro.geo.distance.haversine_km_batch`) — through
+:mod:`repro.columnar`, which runs on numpy when it is importable and on
+stdlib arrays otherwise.  Both backends give bitwise-identical answers:
+
+* the batch haversine performs the scalar ``haversine_km``'s IEEE
+  operations in the same order (the final ``asin`` stays scalar);
+* reductions (Definition 9's average) run in the scalar left-to-right
+  association order;
+* the partial top-k select keeps all boundary ties before the exact
+  ``(-score, uid)`` finalize.
+
+When a context lacks the batch backends (``resolve_batch`` /
+``user_location_columns`` — the dataset-backed brute-force plan, test
+doubles) the operators fall back to the per-element callables, which is
+the same arithmetic.
 """
 
 from __future__ import annotations
@@ -24,14 +42,66 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ... import obs
+from ... import columnar, obs
 from ...core.scoring import user_distance_score, user_score
-from ...geo.cover import cover_cells_fully_inside
+from ...geo.cover import classify_cells
+from ...geo.distance import haversine_km, haversine_km_batch
 from ..bounds import postings_match_bound
 from ..results import ScatterStats
-from ..semantics import Candidate, candidates_from_postings, clip_per_cell
+from ..semantics import Candidate, candidates_from_postings
 from ..topk import TopKUserQueue
-from .context import QueryContext
+from .context import InRadiusCandidate, QueryContext
+
+
+def batch_distances(ctx: QueryContext, lats: List[float],
+                    lons: List[float]) -> List[float]:
+    """Distances from the query point to every ``(lat, lon)`` pair.
+
+    Haversine queries go through the vectorized kernel; any other metric
+    falls back to the per-query closure element-wise.  Either way each
+    value is bitwise-identical to ``ctx.metric(query.location, point)``.
+    """
+    if ctx.metric is haversine_km:
+        column = haversine_km_batch(ctx.query.location, lats, lons)
+        return columnar.column_tolist(column)
+    distance_to = ctx.distance_to
+    assert distance_to is not None
+    return [distance_to((lat, lon)) for lat, lon in zip(lats, lons)]
+
+
+def batched_user_distance_part(ctx: QueryContext, uid: int) -> float:
+    """Definition 9's ``delta(u, q)`` via the columnar kernel.
+
+    One coordinate-column gather per user, one vectorized distance pass,
+    one vectorized per-post score select — then the scalar left-to-right
+    sum, so the result is bitwise-equal to
+    ``user_distance_score(user_locations(uid), ...)``.
+    """
+    columns = ctx.user_location_columns
+    if columns is None or ctx.metric is not haversine_km:
+        user_locations = ctx.user_locations
+        assert user_locations is not None
+        return user_distance_score(user_locations(uid), ctx.query.location,
+                                   ctx.query.radius_km, ctx.metric)
+    lats, lons = columns(uid)
+    if not lats:
+        return 0.0
+    radius_km = ctx.query.radius_km
+    distances = haversine_km_batch(ctx.query.location, lats, lons)
+    np = columnar.numpy_module()
+    if np is not None and isinstance(distances, np.ndarray):
+        # (radius - d) / radius is evaluated on every lane; the mask
+        # discards the out-of-radius lanes, whose values are finite
+        # (radius > 0) and never observed — kept lanes are bitwise-equal
+        # to the scalar distance_score.
+        scores = np.where(distances > radius_km, 0.0,
+                          (radius_km - distances) / radius_km)
+        total = sum(scores.tolist())
+    else:
+        total = sum(0.0 if distance > radius_km
+                    else (radius_km - distance) / radius_km
+                    for distance in columnar.column_tolist(distances))
+    return total / len(lats)
 
 
 class PhysicalOperator:
@@ -110,8 +180,9 @@ class PostingsFetchOp(PhysicalOperator):
 
 class TemporalClipOp(PhysicalOperator):
     """Temporal TkLUS: clip postings to the window, resolve the recency
-    reference (tweet ids are timestamps, so clipping is two binary
-    searches per list)."""
+    reference.  Tweet ids are timestamps, so block views narrow through
+    their skip table and plain lists are clipped with binary searches on
+    the tid column; cells or terms left empty are dropped."""
 
     name = "TemporalClip"
     paper_lines = "Section VIII (temporal extension)"
@@ -119,18 +190,48 @@ class TemporalClipOp(PhysicalOperator):
 
     def run(self, ctx: QueryContext) -> None:
         temporal = ctx.query.temporal
-        if ctx.per_cell is not None:
-            ctx.per_cell = clip_per_cell(ctx.per_cell, temporal.window)
+        window = temporal.window
+        if ctx.per_cell is not None and not window.unbounded:
+            clipped: Dict[str, Dict[str, object]] = {}
+            for cell, per_term in ctx.per_cell.items():
+                kept = {}
+                for term, postings in per_term.items():
+                    inside = self._clip(postings, window.start, window.end)
+                    if inside:
+                        kept[term] = inside
+                if kept:
+                    clipped[cell] = kept
+            ctx.per_cell = clipped  # type: ignore[assignment]
         recency = temporal.recency
         if recency is not None:
             ctx.recency_reference = recency.resolve_reference(ctx.max_sid())
+
+    @staticmethod
+    def _clip(postings, start: Optional[int], end: Optional[int]):
+        clip = getattr(postings, "clip", None)
+        if clip is not None:
+            return clip(start, end)
+        if not postings:
+            return list(postings)
+        tids = columnar.int_column([tid for tid, _tf in postings])
+        lo, hi = columnar.sorted_range(tids, start, end)
+        return list(postings[lo:hi])
 
     def describe(self) -> str:
         return "TemporalClip(window clip + recency reference)"
 
 
 class CandidateFormOp(PhysicalOperator):
-    """Lines 8-14: AND intersection / OR union into the candidate list."""
+    """Lines 8-14: AND intersection / OR union into the candidate list.
+
+    Single-term queries never need a merge: per cell, every posting of
+    the term *is* a candidate (AND and OR differ only in the
+    matched-term count when ``tf == 0``, which indexed postings never
+    store but the contract is preserved anyway).  Block views hand over
+    their decoded tid/tf columns in one call (:meth:`column_view`),
+    skipping per-element varint cursor hops.  Multi-term queries use the
+    galloping k-way merge of :func:`candidates_from_postings`.
+    """
 
     name = "CandidateForm"
     paper_lines = "Alg 4/5 lines 8-14"
@@ -143,9 +244,36 @@ class CandidateFormOp(PhysicalOperator):
     def run(self, ctx: QueryContext) -> None:
         assert ctx.per_cell is not None, "CandidateFormOp needs postings"
         semantics = self.semantics or ctx.query.semantics
-        ctx.candidates = candidates_from_postings(ctx.per_cell, ctx.terms,
-                                                  semantics)
+        if len(ctx.terms) == 1:
+            ctx.candidates = self._single_term(ctx, semantics)
+        else:
+            ctx.candidates = candidates_from_postings(ctx.per_cell,
+                                                      ctx.terms, semantics)
         ctx.stats.candidates = len(ctx.candidates)
+
+    @staticmethod
+    def _single_term(ctx: QueryContext, semantics) -> List[Candidate]:
+        assert ctx.per_cell is not None
+        count_matches = semantics.name != "AND"  # OR counts tf > 0 terms
+        term = ctx.terms[0]
+        candidates: List[Candidate] = []
+        append = candidates.append
+        for cell in sorted(ctx.per_cell):
+            postings = ctx.per_cell[cell].get(term)
+            if not postings:
+                continue
+            view = getattr(postings, "column_view", None)
+            if view is not None:
+                tid_column, tf_column = view()
+                tids = columnar.column_tolist(tid_column)
+                tfs = columnar.column_tolist(tf_column)
+            else:
+                tids = [tid for tid, _tf in postings]
+                tfs = [tf for _tid, tf in postings]
+            for tid, tf in zip(tids, tfs):
+                matched = (1 if tf > 0 else 0) if count_matches else 1
+                append(Candidate(tid, tf, matched, cell))
+        return candidates
 
     def describe(self) -> str:
         which = self.semantics.value if self.semantics else "from query"
@@ -186,61 +314,6 @@ class DatasetScanOp(PhysicalOperator):
 
     def describe(self) -> str:
         return "DatasetScan(full scan, window + bag match + semantics)"
-
-
-class RadiusFilterOp(PhysicalOperator):
-    """Line 16's distance check, with the cell-containment shortcut: a
-    cover cell lying entirely inside the query circle cannot contain an
-    out-of-radius tweet, so its candidates skip the per-tweet distance
-    check (answer-preserving by construction).  Resolves each surviving
-    candidate's ``(uid, lat, lon)`` for the scoring stages."""
-
-    name = "RadiusFilter"
-    paper_lines = "Alg 4/5 line 16"
-    writes = ("in_radius", "candidate_uids")
-
-    def __init__(self, use_cell_containment: bool = True) -> None:
-        self.use_cell_containment = use_cell_containment
-
-    def run(self, ctx: QueryContext) -> None:
-        query = ctx.query
-        stats = ctx.stats
-        resolve = ctx.resolve
-        assert resolve is not None, "RadiusFilterOp needs a resolver"
-        inside_cells = frozenset()
-        if self.use_cell_containment and ctx.source is not None:
-            inside, _boundary = cover_cells_fully_inside(
-                query.location, query.radius_km,
-                ctx.source.geohash_length, ctx.metric)
-            inside_cells = frozenset(inside)
-        lock = ctx.lock
-        # Per-query closure with the fixed query point's trigonometry
-        # precomputed (bitwise-identical to metric(location, point)).
-        distance_to = ctx.distance_to
-        assert distance_to is not None
-        radius_km = query.radius_km
-        in_radius: List[Tuple[Candidate, int, float, float]] = []
-        for candidate in ctx.candidates:
-            if lock is None:
-                resolved = resolve(candidate.tid)
-            else:
-                with lock:
-                    resolved = resolve(candidate.tid)
-            if resolved is None:
-                continue
-            uid, lat, lon = resolved
-            if candidate.cell in inside_cells:
-                stats.distance_checks_skipped += 1
-            elif distance_to((lat, lon)) > radius_km:
-                continue  # boundary cell false positive (line 16)
-            stats.candidates_in_radius += 1
-            ctx.candidate_uids.add(uid)
-            in_radius.append((candidate, uid, lat, lon))
-        ctx.in_radius = in_radius
-
-    def describe(self) -> str:
-        shortcut = "on" if self.use_cell_containment else "off"
-        return f"RadiusFilter(cell_containment={shortcut})"
 
 
 class _QueryPruner:
@@ -297,8 +370,9 @@ class BoundsPruneOp(PhysicalOperator):
     """Lines 18-19's pruning precondition: resolve which bound family
     (global ``t_m`` vs pre-computed hot-keyword, Section VI-B5's AND=min
     / OR=max combination) serves this query and install the pruning
-    predicate that :class:`ThreadScoreOp` consults per candidate.  Omit
-    this operator for the no-pruning ablation."""
+    predicate that :class:`FusedRadiusScoreOp` consults per candidate.
+    It reads only the fetched postings, so it runs before the radius
+    filter.  Omit this operator for the no-pruning ablation."""
 
     name = "BoundsPrune"
     paper_lines = "Alg 5 lines 18-19; Def 11; Section VI-B5"
@@ -335,11 +409,20 @@ class BoundsPruneOp(PhysicalOperator):
                 f"tighten_distance_bound={tighten})")
 
 
-class ThreadScoreOp(PhysicalOperator):
-    """Lines 15-24: per-candidate thread construction (Algorithm 1),
-    keyword relevance (Definition 6) and per-user aggregation.
+class FusedRadiusScoreOp(PhysicalOperator):
+    """Line 16's radius filter fused with lines 15-24's scoring.
 
-    Two modes:
+    **Filter.** One batched metadata gather resolves every candidate's
+    ``(uid, lat, lon)`` and one vectorized haversine pass computes every
+    candidate distance.  A cover cell lying entirely inside the query
+    circle cannot contain an out-of-radius tweet, so with the
+    cell-containment shortcut its candidates skip the distance check
+    (answer-preserving by construction); the cells are the ones
+    :class:`CoverOp` already computed.
+
+    **Score.** Per in-radius candidate: thread construction (Algorithm
+    1), keyword relevance (Definition 6) and per-user aggregation, in
+    one of two modes:
 
     * ``ranked=False`` — accumulate per-user keyword score parts
       (Definition 7 for ``aggregate="sum"``, Definition 8 for ``"max"``)
@@ -350,17 +433,20 @@ class ThreadScoreOp(PhysicalOperator):
       for thread construction (the I/O bottleneck, Section V-B).
     """
 
-    name = "ThreadScore"
-    paper_lines = "Alg 4 lines 15-24 / Alg 5 lines 15-33"
-    writes = ("keyword_parts", "queue")
+    name = "FusedRadiusScore"
+    paper_lines = "Alg 4 lines 15-24 / Alg 5 lines 15-33 (fused line 16)"
+    writes = ("in_radius", "candidate_uids", "keyword_parts", "queue")
 
-    def __init__(self, aggregate: str, ranked: bool = False) -> None:
+    def __init__(self, aggregate: str, ranked: bool = False,
+                 use_cell_containment: bool = True) -> None:
         if aggregate not in ("sum", "max"):
             raise ValueError(f"aggregate must be 'sum' or 'max': {aggregate!r}")
         self.aggregate = aggregate
         self.ranked = ranked
+        self.use_cell_containment = use_cell_containment
 
     def run(self, ctx: QueryContext) -> None:
+        self._filter(ctx)
         threads_before = 0
         track = ctx.track_thread_builds
         counter = getattr(ctx.threads, "threads_built", None)
@@ -381,7 +467,62 @@ class ThreadScoreOp(PhysicalOperator):
                 # popularity call constructs one thread.
                 ctx.stats.threads_built = calls
 
-    # -- modes ------------------------------------------------------------
+    # -- line 16 ----------------------------------------------------------
+
+    def _resolve(self, ctx: QueryContext, tids: List[int]
+                 ) -> List[Optional[Tuple[int, float, float]]]:
+        lock = ctx.lock
+        resolve_batch = ctx.resolve_batch
+        if resolve_batch is not None:
+            if lock is None:
+                resolved_map = resolve_batch(tids)
+            else:
+                with lock:
+                    resolved_map = resolve_batch(tids)
+            return [resolved_map.get(tid) for tid in tids]
+        resolve = ctx.resolve
+        assert resolve is not None, "FusedRadiusScoreOp needs a resolver"
+        if lock is None:
+            return [resolve(tid) for tid in tids]
+        with lock:
+            return [resolve(tid) for tid in tids]
+
+    def _filter(self, ctx: QueryContext) -> None:
+        query = ctx.query
+        stats = ctx.stats
+        inside_cells = frozenset()
+        if self.use_cell_containment:
+            inside, _boundary = classify_cells(
+                query.location, query.radius_km, ctx.cells, ctx.metric)
+            inside_cells = frozenset(inside)
+        candidates = ctx.candidates
+        resolved = self._resolve(ctx, [candidate.tid for candidate in candidates])
+        lats: List[float] = []
+        lons: List[float] = []
+        for entry in resolved:
+            if entry is not None:
+                lats.append(entry[1])
+                lons.append(entry[2])
+        distances = batch_distances(ctx, lats, lons)
+        radius_km = query.radius_km
+        in_radius: List[InRadiusCandidate] = []
+        position = 0
+        for candidate, entry in zip(candidates, resolved):
+            if entry is None:
+                continue  # ghost candidate: posting without metadata
+            distance = distances[position]
+            position += 1
+            uid, lat, lon = entry
+            if candidate.cell in inside_cells:
+                stats.distance_checks_skipped += 1
+            elif distance > radius_km:
+                continue  # boundary cell false positive (line 16)
+            stats.candidates_in_radius += 1
+            ctx.candidate_uids.add(uid)
+            in_radius.append((candidate, uid, lat, lon))
+        ctx.in_radius = in_radius
+
+    # -- lines 15-33 ------------------------------------------------------
 
     def _relevance(self, ctx: QueryContext, candidate: Candidate,
                    popularity: float) -> float:
@@ -401,15 +542,6 @@ class ThreadScoreOp(PhysicalOperator):
             return ctx.threads.popularity(tid)
         with ctx.lock:
             return ctx.threads.popularity(tid)
-
-    def _distance_part(self, ctx: QueryContext, uid: int) -> float:
-        """Definition 9's ``delta(u, q)`` for one user (the batched
-        subclass swaps in the columnar kernel; values are bitwise
-        identical either way)."""
-        user_locations = ctx.user_locations
-        assert user_locations is not None
-        return user_distance_score(user_locations(uid), ctx.query.location,
-                                   ctx.query.radius_km, ctx.metric)
 
     def _run_accumulate(self, ctx: QueryContext) -> int:
         parts: Dict[int, float] = {}
@@ -435,8 +567,6 @@ class ThreadScoreOp(PhysicalOperator):
         pruner: Optional[_QueryPruner] = ctx.pruner
         queue = TopKUserQueue(query.k)
         ctx.queue = queue
-        user_locations = ctx.user_locations
-        assert user_locations is not None
         distance_parts: Dict[int, float] = {}  # uid -> delta(u, q), once
         ceiling = pruner.score_ceiling(ctx) if pruner is not None else None
         calls = 0
@@ -476,7 +606,7 @@ class ThreadScoreOp(PhysicalOperator):
             calls += 1
             relevance = self._relevance(ctx, candidate, popularity)
             if uid not in distance_parts:
-                distance_parts[uid] = self._distance_part(ctx, uid)
+                distance_parts[uid] = batched_user_distance_part(ctx, uid)
             queue.offer(uid, user_score(relevance, distance_parts[uid],
                                         ctx.config))
             if profile is not None:
@@ -485,14 +615,17 @@ class ThreadScoreOp(PhysicalOperator):
 
     def describe(self) -> str:
         mode = "top-k queue" if self.ranked else "accumulate"
-        return f"ThreadScore(aggregate={self.aggregate}, mode={mode})"
+        shortcut = "on" if self.use_cell_containment else "off"
+        return (f"FusedRadiusScore(aggregate={self.aggregate}, mode={mode}, "
+                f"cell_containment={shortcut})")
 
 
 class RankOp(PhysicalOperator):
     """Lines 25-27: combine each user's keyword aggregate with their
-    distance score (Definitions 9-10) and sort.  When an upstream ranked
-    :class:`ThreadScoreOp` already maintains the top-k queue, ranking is
-    just draining it."""
+    distance score (Definitions 9-10, the columnar kernel), leaving the
+    scored list unsorted for the partial select of :class:`TopKOp`.
+    When an upstream ranked :class:`FusedRadiusScoreOp` already maintains
+    the top-k queue, ranking is just draining it."""
 
     name = "Rank"
     paper_lines = "Alg 4 lines 25-27 / Alg 5 line 34"
@@ -502,37 +635,37 @@ class RankOp(PhysicalOperator):
         if ctx.queue is not None:
             ctx.scored = ctx.queue.ranked()
             return
-        query = ctx.query
         parts = ctx.keyword_parts if ctx.keyword_parts is not None else {}
-        user_locations = ctx.user_locations
-        assert user_locations is not None
         with obs.trace("query.rank", users=len(parts)):
             scored: List[Tuple[int, float]] = []
             for uid, keyword_part in parts.items():
-                distance_part = user_distance_score(
-                    user_locations(uid), query.location, query.radius_km,
-                    ctx.metric)
+                distance_part = batched_user_distance_part(ctx, uid)
                 scored.append((uid, user_score(keyword_part, distance_part,
                                                ctx.config)))
-            scored.sort(key=lambda item: (-item[1], item[0]))
         ctx.scored = scored
 
     def describe(self) -> str:
-        return "Rank(blend delta(u,q), sort by (-score, uid))"
+        return "Rank(blend delta(u,q), ordering deferred to TopK)"
 
 
 class TopKOp(PhysicalOperator):
-    """Lines 28-29: the final top-k cut."""
+    """Lines 28-29: the final top-k cut — partial-select the k-th score
+    boundary, then the exact ``(-score, uid)`` finalize."""
 
     name = "TopK"
     paper_lines = "Alg 4/5 lines 28-29"
     writes = ("users",)
 
     def run(self, ctx: QueryContext) -> None:
-        ctx.users = ctx.scored[:ctx.query.k]
+        if ctx.queue is not None:
+            # Upstream ranked queue already produced a k-sorted list.
+            ctx.users = ctx.scored[:ctx.query.k]
+            return
+        selected = columnar.select_top_k(ctx.scored, ctx.query.k)
+        ctx.users = [(uid, score) for _position, uid, score in selected]
 
     def describe(self) -> str:
-        return "TopK(k from query)"
+        return "TopK(k from query, partial select + exact (-score, uid) order)"
 
 
 class PartitionRouteOp(PhysicalOperator):

@@ -16,27 +16,19 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ...core.model import Semantics, TkLUSQuery
-from .batched import (
-    BatchCandidateFormOp,
-    BatchRankOp,
-    BatchTopKOp,
-    ColumnarTemporalClipOp,
-    FusedRadiusScoreOp,
-)
 from .context import QueryContext
 from .operators import (
     BoundsPruneOp,
     CandidateFormOp,
     CoverOp,
     DatasetScanOp,
+    FusedRadiusScoreOp,
     PartitionRouteOp,
     PhysicalOperator,
     PostingsFetchOp,
-    RadiusFilterOp,
     RankOp,
     ScatterGatherOp,
     TemporalClipOp,
-    ThreadScoreOp,
     TopKOp,
 )
 
@@ -51,7 +43,6 @@ class PlanSpec:
     temporal: bool = False         # window clip / recency weighting
     distributed: bool = False      # scatter-gather over partitions
     scan: bool = False             # index-free full scan (brute force)
-    kernels: str = "scalar"        # "scalar" | "batched" (columnar ops)
 
     def __post_init__(self) -> None:
         if self.method not in ("sum", "max"):
@@ -59,9 +50,6 @@ class PlanSpec:
                              "(expected 'sum' or 'max')")
         if self.distributed and self.scan:
             raise ValueError("a plan is either distributed or a full scan")
-        if self.kernels not in ("scalar", "batched"):
-            raise ValueError(f"unknown kernel family {self.kernels!r} "
-                             "(expected 'scalar' or 'batched')")
 
     def label(self) -> str:
         flavour = "scan" if self.scan else (
@@ -71,8 +59,6 @@ class PlanSpec:
         if self.method == "max" and not self.distributed and not self.scan:
             bits.append(f"pruning={'on' if self.pruning else 'off'}")
         bits.append(f"temporal={'on' if self.temporal else 'off'}")
-        if self.kernels != "scalar":
-            bits.append(f"kernels={self.kernels}")
         return ", ".join(bits)
 
 
@@ -145,17 +131,11 @@ class Planner:
     def plan(self, method: str = "max",
              semantics: Semantics = Semantics.OR, *,
              pruning: bool = True, temporal: bool = False,
-             distributed: bool = False, scan: bool = False,
-             kernels: str = "scalar") -> PhysicalPlan:
+             distributed: bool = False,
+             scan: bool = False) -> PhysicalPlan:
         """The physical plan for a query class."""
-        if scan or distributed:
-            # Columnar kernels exist only for the single-site indexed
-            # pipeline; other flavours coerce to scalar so the memo key
-            # stays canonical.
-            kernels = "scalar"
         spec = PlanSpec(method=method, semantics=semantics, pruning=pruning,
-                        temporal=temporal, distributed=distributed, scan=scan,
-                        kernels=kernels)
+                        temporal=temporal, distributed=distributed, scan=scan)
         # Serve workers plan concurrently, so the memo is double-checked:
         # the unlocked dict.get is GIL-atomic and hits for every spec
         # after its first planning; losers of the build race discard
@@ -174,25 +154,23 @@ class Planner:
 
     def plan_for_query(self, method: str, query: TkLUSQuery, *,
                        pruning: bool = True, distributed: bool = False,
-                       scan: bool = False,
-                       kernels: str = "scalar") -> PhysicalPlan:
+                       scan: bool = False) -> PhysicalPlan:
         """The plan for one concrete query: semantics and temporal shape
         are read off the query itself."""
         temporal = (not query.temporal.window.unbounded
                     or query.temporal.recency is not None)
         return self.plan(method, query.semantics, pruning=pruning,
                          temporal=temporal, distributed=distributed,
-                         scan=scan, kernels=kernels)
+                         scan=scan)
 
     def explain(self, method: str = "max",
                 semantics: Semantics = Semantics.OR, *,
                 pruning: bool = True, temporal: bool = False,
-                distributed: bool = False, scan: bool = False,
-                kernels: str = "scalar") -> str:
+                distributed: bool = False, scan: bool = False) -> str:
         """Rendered plan text (what ``repro explain`` prints)."""
         return self.plan(method, semantics, pruning=pruning,
                          temporal=temporal, distributed=distributed,
-                         scan=scan, kernels=kernels).describe()
+                         scan=scan).describe()
 
     # -- construction ------------------------------------------------------
 
@@ -214,50 +192,29 @@ class Planner:
         ``include_cover=False`` for scatter-gather server sub-plans,
         whose cells are assigned by the coordinator's partition routing
         rather than computed locally."""
-        batched = spec.kernels == "batched"
         operators: List[PhysicalOperator] = []
         if include_cover:
             operators.append(CoverOp())
         operators.append(PostingsFetchOp(track_fetches=track_fetches))
         if spec.temporal:
-            operators.append(ColumnarTemporalClipOp() if batched
-                             else TemporalClipOp())
-        operators.append(BatchCandidateFormOp(spec.semantics) if batched
-                         else CandidateFormOp(spec.semantics))
+            operators.append(TemporalClipOp())
+        operators.append(CandidateFormOp(spec.semantics))
         return operators
 
     def _indexed_operators(self, spec: PlanSpec) -> List[PhysicalOperator]:
-        if spec.kernels == "batched":
-            return self._indexed_batched_operators(spec)
+        """Radius filtering and scoring are one fused stage, so the
+        bounds pruner (which only reads the fetched postings) installs
+        before it."""
         operators = self._retrieval_operators(spec)
-        operators.append(RadiusFilterOp(self.use_cell_containment))
-        if spec.method == "max":
-            if spec.pruning:
-                operators.append(BoundsPruneOp(self.tighten_distance_bound))
-            operators.append(ThreadScoreOp("max", ranked=True))
-        else:
-            operators.append(ThreadScoreOp("sum", ranked=False))
-        operators.extend((RankOp(), TopKOp()))
-        return operators
-
-    def _indexed_batched_operators(self, spec: PlanSpec
-                                   ) -> List[PhysicalOperator]:
-        """The columnar mirror of :meth:`_indexed_operators`: radius
-        filtering and scoring fuse into one batched stage, so the bounds
-        pruner (which only reads the fetched postings) installs *before*
-        it — same decisions, one less pass over the candidates."""
-        operators = self._retrieval_operators(spec)
-        if spec.method == "max":
-            if spec.pruning:
-                operators.append(BoundsPruneOp(self.tighten_distance_bound))
-            operators.append(FusedRadiusScoreOp(
-                "max", ranked=True,
-                use_cell_containment=self.use_cell_containment))
-        else:
-            operators.append(FusedRadiusScoreOp(
-                "sum", ranked=False,
-                use_cell_containment=self.use_cell_containment))
-        operators.extend((BatchRankOp(), BatchTopKOp()))
+        ranked = spec.method == "max"
+        if ranked and spec.pruning:
+            operators.append(BoundsPruneOp(self.tighten_distance_bound))
+        operators.extend((
+            FusedRadiusScoreOp(spec.method, ranked=ranked,
+                               use_cell_containment=self.use_cell_containment),
+            RankOp(),
+            TopKOp(),
+        ))
         return operators
 
     def _scan_operators(self, spec: PlanSpec) -> List[PhysicalOperator]:
@@ -266,8 +223,7 @@ class Planner:
             operators.append(TemporalClipOp())  # recency reference only
         operators.extend((
             DatasetScanOp(),
-            RadiusFilterOp(use_cell_containment=False),
-            ThreadScoreOp(spec.method, ranked=False),
+            FusedRadiusScoreOp(spec.method, use_cell_containment=False),
             RankOp(),
             TopKOp(),
         ))
@@ -277,10 +233,8 @@ class Planner:
         server_spec = replace(spec, distributed=False)
         server_operators: List[PhysicalOperator] = self._retrieval_operators(
             server_spec, track_fetches=False, include_cover=False)
-        server_operators.extend((
-            RadiusFilterOp(use_cell_containment=False),
-            ThreadScoreOp(spec.method, ranked=False),
-        ))
+        server_operators.append(
+            FusedRadiusScoreOp(spec.method, use_cell_containment=False))
         server_plan = PhysicalPlan(
             f"server, {server_spec.label()}", tuple(server_operators))
         return [

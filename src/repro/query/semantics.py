@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from ..core.model import Semantics
-from ..core.temporal import TimeWindow
 from ..index.postings import Posting, intersect_many, union_many
 
 
@@ -61,25 +60,3 @@ def candidates_from_postings(per_cell: Dict[str, Dict[str, Sequence[Posting]]],
                 result.append(Candidate(tid, sum(tfs), matched, cell))
     return result
 
-
-def clip_per_cell(per_cell: Dict[str, Dict[str, Sequence[Posting]]],
-                  window: TimeWindow) -> Dict[str, Dict[str, Sequence[Posting]]]:
-    """Restrict fetched postings to a time window (temporal TkLUS).
-
-    Tweet ids are timestamps and postings are tid-sorted, so each plain
-    list is clipped with two binary searches, while lazy block views are
-    narrowed through their skip table without decoding out-of-window
-    blocks; cells or terms left empty are dropped entirely.
-    """
-    if window.unbounded:
-        return per_cell
-    clipped: Dict[str, Dict[str, Sequence[Posting]]] = {}
-    for cell, per_term in per_cell.items():
-        kept = {}
-        for term, postings in per_term.items():
-            inside = window.clip_postings(postings)
-            if inside:
-                kept[term] = inside
-        if kept:
-            clipped[cell] = kept
-    return clipped

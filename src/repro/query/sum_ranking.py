@@ -6,13 +6,13 @@ Plan shape (line numbers refer to the paper's Algorithm 4):
 2.  fetch postings for every (cell, keyword) pair (lines 4-7) —
     ``PostingsFetch``;
 3.  AND/OR candidate formation (lines 8-14) — ``CandidateForm``;
-4.  for each candidate within the radius (line 16, ``RadiusFilter``):
-    build its tweet thread (Algorithm 1), compute its keyword relevance
-    contribution (Definition 6), and accumulate per user (Definition 7)
-    — lines 15-24, ``ThreadScore``;
+4.  for each candidate within the radius (line 16): build its tweet
+    thread (Algorithm 1), compute its keyword relevance contribution
+    (Definition 6), and accumulate per user (Definition 7) — lines
+    15-24, ``FusedRadiusScore``;
 5.  combine each user's keyword score with their distance score
-    (Definitions 9-10), sort and return the top k (lines 25-29) —
-    ``Rank`` + ``TopK``.
+    (Definitions 9-10) and return the top k (lines 25-29) — ``Rank`` +
+    ``TopK``.
 
 The operators live in :mod:`repro.query.pipeline`; this processor is a
 thin shell that plans the query and binds it to the storage backends.
@@ -55,8 +55,7 @@ class SumScoreProcessor:
 
     def plan_for(self, query: TkLUSQuery):
         """The physical plan this processor would run for ``query``."""
-        return self._planner.plan_for_query(
-            "sum", query, kernels=self.config.resolved_kernels())
+        return self._planner.plan_for_query("sum", query)
 
     def search(self, query: TkLUSQuery, *, source: Any = None,
                cancel: Any = None) -> QueryResult:

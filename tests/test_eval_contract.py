@@ -6,7 +6,6 @@ import pytest
 
 from repro.eval.contract import (
     CONTRACT_SCHEMA_VERSION,
-    MUST_BE_AT_LEAST,
     MUST_BE_TRUE,
     build_baseline,
     check_contract,
@@ -46,18 +45,6 @@ def make_ingest_payload(aps=5000.0, recovery_s=0.2, posts_match=True,
     }
 
 
-def make_matrix_payload(speedup=4.5, batched_mean_ms=5.0, identical=True):
-    return {
-        "cells": [{"id": "large-k20-r40-kw2",
-                   "batched": {"mean_ms": batched_mean_ms},
-                   "scalar": {"mean_ms": batched_mean_ms * speedup},
-                   "speedup": speedup,
-                   "results_identical": identical}],
-        "largest_cell": {"id": "large-k20-r40-kw2", "speedup": speedup},
-        "results_identical": identical,
-    }
-
-
 def make_serve_payload(peak_qps=450.0, p99_on_ms=120.0, hit_rate=0.4,
                        tail_bounded=True, identical=True):
     return {
@@ -78,15 +65,11 @@ class TestExtractHeadlines:
     def test_full_extraction(self):
         current = extract_headlines(make_query_payload(),
                                     make_ingest_payload(),
-                                    make_matrix_payload(),
                                     make_serve_payload())
         assert current["query.fig8_single.results_identical"]["value"] is True
         assert current["query.telemetry.overhead_ratio"]["value"] == 1.01
         assert current["ingest.appends_per_second"]["value"] == 5000.0
         assert current["ingest.recovery.posts_match"]["value"] is True
-        assert current["matrix.results_identical"]["value"] is True
-        assert current["matrix.largest.speedup"]["value"] == 4.5
-        assert current["matrix.largest.batched_mean_ms"]["value"] == 5.0
         assert current["serve.cached_results_identical"]["value"] is True
         assert current["serve.scaling.peak_qps"]["value"] == 450.0
         assert current["serve.overload.shed_tail_bounded"]["value"] is True
@@ -101,7 +84,6 @@ class TestExtractHeadlines:
         current = extract_headlines(make_query_payload(), None)
         assert "query.telemetry.overhead_ratio" in current
         assert not any(key.startswith("ingest.") for key in current)
-        assert not any(key.startswith("matrix.") for key in current)
         assert not any(key.startswith("serve.") for key in current)
 
     def test_malformed_payload_skips_headline(self):
@@ -174,62 +156,32 @@ class TestCheckContract:
     def test_must_be_true_covers_committed_keys(self):
         assert set(MUST_BE_TRUE) <= set(
             extract_headlines(make_query_payload(), make_ingest_payload(),
-                              make_matrix_payload(), make_serve_payload()))
+                              make_serve_payload()))
 
     def test_serve_cache_identity_fails_absolutely(self):
         # A baseline recorded with a broken cache cannot launder a
         # cached-result mismatch past the contract.
         bad = make_serve_payload(identical=False)
-        baseline = build_baseline(None, None, None, bad)
-        current = extract_headlines(None, None, None, bad)
+        baseline = build_baseline(None, None, bad)
+        current = extract_headlines(None, None, bad)
         problems = check_contract(current, baseline)
         assert problems == ["serve.cached_results_identical must be true, "
                             "got False"]
 
     def test_serve_qps_regression_fails(self):
-        baseline = build_baseline(None, None, None, make_serve_payload())
-        current = extract_headlines(None, None, None,
+        baseline = build_baseline(None, None, make_serve_payload())
+        current = extract_headlines(None, None,
                                     make_serve_payload(peak_qps=200.0))
         problems = check_contract(current, baseline)
         assert any("serve.scaling.peak_qps" in p for p in problems)
 
     def test_serve_tail_bound_is_exact(self):
-        baseline = build_baseline(None, None, None, make_serve_payload())
+        baseline = build_baseline(None, None, make_serve_payload())
         current = extract_headlines(
-            None, None, None, make_serve_payload(tail_bounded=False))
+            None, None, make_serve_payload(tail_bounded=False))
         problems = check_contract(current, baseline)
         assert any("serve.overload.shed_tail_bounded" in p
                    for p in problems)
-
-    def test_matrix_parity_fails_absolutely(self):
-        current = extract_headlines(None, None,
-                                    make_matrix_payload(identical=False))
-        problems = check_contract(current, {"headlines": {}})
-        assert problems == ["matrix.results_identical must be true, "
-                            "got False"]
-
-    def test_matrix_speedup_floor_is_absolute(self):
-        # Even a baseline recorded at the same (bad) speedup cannot
-        # launder a sub-2x batched path past the contract.
-        bad = make_matrix_payload(speedup=1.4)
-        baseline = build_baseline(None, None, bad)
-        current = extract_headlines(None, None, bad)
-        problems = check_contract(current, baseline)
-        assert problems == ["matrix.largest.speedup must be at least 2 "
-                            "(absolute floor), got 1.4"]
-
-    def test_matrix_speedup_above_floor_passes(self):
-        baseline = build_baseline(None, None, make_matrix_payload())
-        current = extract_headlines(None, None,
-                                    make_matrix_payload(speedup=4.0))
-        assert check_contract(current, baseline) == []
-
-    def test_must_be_at_least_keys_are_headlines(self):
-        extracted = extract_headlines(make_query_payload(),
-                                      make_ingest_payload(),
-                                      make_matrix_payload(),
-                                      make_serve_payload())
-        assert set(MUST_BE_AT_LEAST) <= set(extracted)
 
 
 class TestBaselineIO:
@@ -276,16 +228,12 @@ class TestCommittedArtifacts:
             query_payload = json.load(handle)
         with open("BENCH_ingest.json", encoding="utf-8") as handle:
             ingest_payload = json.load(handle)
-        with open("BENCH_matrix.json", encoding="utf-8") as handle:
-            matrix_payload = json.load(handle)
         with open("BENCH_serve.json", encoding="utf-8") as handle:
             serve_payload = json.load(handle)
         baseline = load_baseline("benchmarks/baselines/perf_contract.json")
         current = extract_headlines(query_payload, ingest_payload,
-                                    matrix_payload, serve_payload)
+                                    serve_payload)
         assert check_contract(current, baseline) == []
         assert current["query.telemetry.within_budget"]["value"] is True
-        assert current["matrix.results_identical"]["value"] is True
-        assert current["matrix.largest.speedup"]["value"] >= 2.0
         assert current["serve.cached_results_identical"]["value"] is True
         assert current["serve.overload.shed_tail_bounded"]["value"] is True
