@@ -18,9 +18,6 @@ Subcommands mirror the operational pipeline of the paper's Figure 3:
 * ``top``          — live terminal dashboard (throughput, tail latency,
                      funnel, SLO, health) over a mixed ingest+query
                      workload with the telemetry runtime installed;
-* ``perf-contract``— check the committed bench reports against the
-                     committed performance baseline (see
-                     ``repro.eval.contract``);
 * ``check``        — correctness tooling: project lint rules
                      (``--rules``) and deep structural invariant
                      validation of a built index (``--deep``); see
@@ -272,45 +269,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .eval.bench import (
-        BenchConfig,
-        render_summary,
-        run_bench,
-        validate_bench_report,
-        write_report,
-    )
-
-    config = BenchConfig(
-        num_users=args.users, num_root_tweets=args.roots, seed=args.seed,
-        queries_per_workload=args.queries, radius_km=args.radius,
-        k=args.k, block_size=args.block_size,
-        overhead_rounds=args.overhead_rounds,
-        overhead_budget=args.max_overhead)
-    payload = run_bench(config)
-    problems = validate_bench_report(payload)
-    if problems:
-        for problem in problems:
-            print(f"invalid bench report: {problem}", file=sys.stderr)
-        return 1
-    if args.output:
-        write_report(payload, args.output)
-        print(f"wrote {args.output}")
-    print(render_summary(payload))
-    mismatched = [w["name"] for w in payload["workloads"]
-                  if not w["results_identical"]]
-    if mismatched:
-        print(f"format parity violated on: {', '.join(mismatched)}",
-              file=sys.stderr)
-        return 1
-    overhead = payload.get("telemetry_overhead")
-    if overhead is not None and not overhead["within_budget"]:
-        print(f"telemetry overhead {overhead['overhead_ratio']:.3f}x exceeds "
-              f"budget {overhead['budget_ratio']:.3f}x", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_ingest(args: argparse.Namespace) -> int:
     import json
 
@@ -457,77 +415,6 @@ def _cmd_compact(args: argparse.Namespace) -> int:
         return 0
     finally:
         service.close()
-
-
-def _cmd_ingest_bench(args: argparse.Namespace) -> int:
-    import tempfile
-
-    from .eval.ingest_bench import (
-        IngestBenchConfig,
-        render_ingest_summary,
-        run_ingest_bench,
-        validate_ingest_bench_report,
-        write_ingest_report,
-    )
-
-    config = IngestBenchConfig(
-        num_users=args.users, num_root_tweets=args.roots, seed=args.seed,
-        queries=args.queries, appends_per_query=args.appends_per_query,
-        flush_posts=args.flush_posts, sync_every=args.sync_every,
-        radius_km=args.radius, k=args.k, telemetry=args.telemetry)
-    if args.directory:
-        payload = run_ingest_bench(args.directory, config)
-    else:
-        with tempfile.TemporaryDirectory() as scratch:
-            payload = run_ingest_bench(f"{scratch}/ingest", config)
-    problems = validate_ingest_bench_report(payload)
-    if problems:
-        for problem in problems:
-            print(f"invalid ingest bench report: {problem}", file=sys.stderr)
-        return 1
-    if args.output:
-        write_ingest_report(payload, args.output)
-        print(f"wrote {args.output}")
-    print(render_ingest_summary(payload))
-    return 0
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    import tempfile
-
-    from .eval.serve_bench import (
-        ServeBenchConfig,
-        render_serve_summary,
-        run_serve_bench,
-        validate_serve_bench_report,
-        write_serve_report,
-    )
-
-    if args.smoke:
-        config = ServeBenchConfig.smoke()
-        config.seed = args.seed
-    else:
-        config = ServeBenchConfig(
-            num_users=args.users, num_root_tweets=args.roots, seed=args.seed,
-            closed_duration_seconds=args.duration,
-            overload_duration_seconds=args.duration,
-            mixed_duration_seconds=args.duration,
-            closed_clients=args.clients)
-    if args.directory:
-        payload = run_serve_bench(args.directory, config)
-    else:
-        with tempfile.TemporaryDirectory() as scratch:
-            payload = run_serve_bench(f"{scratch}/serve", config)
-    problems = validate_serve_bench_report(payload)
-    if problems:
-        for problem in problems:
-            print(f"invalid serve bench report: {problem}", file=sys.stderr)
-        return 1
-    if args.output:
-        write_serve_report(payload, args.output)
-        print(f"wrote {args.output}")
-    print(render_serve_summary(payload))
-    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -695,74 +582,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
                 thread.join(timeout=5.0)
                 obs.disable_runtime()
                 service.close()
-    return 0
-
-
-def _cmd_perf_contract(args: argparse.Namespace) -> int:
-    import json
-    import os
-
-    from .eval.contract import (
-        build_baseline,
-        check_contract,
-        extract_headlines,
-        load_baseline,
-        render_contract,
-        write_baseline,
-    )
-
-    def read_report(path: str):
-        if not os.path.exists(path):
-            return None
-        with open(path) as handle:
-            return json.load(handle)
-
-    query_payload = read_report(args.query_report)
-    ingest_payload = read_report(args.ingest_report)
-    serve_payload = read_report(args.serve_report)
-    if query_payload is None and ingest_payload is None \
-            and serve_payload is None:
-        print(f"error: none of {args.query_report}, {args.ingest_report} "
-              f"or {args.serve_report} exists", file=sys.stderr)
-        return 2
-    if serve_payload is not None:
-        from .eval.serve_bench import validate_serve_bench_report
-        serve_problems = validate_serve_bench_report(serve_payload)
-        if serve_problems:
-            for problem in serve_problems:
-                print(f"invalid serve report: {problem}", file=sys.stderr)
-            return 1
-
-    current = extract_headlines(query_payload, ingest_payload,
-                                serve_payload)
-    if args.write_baseline:
-        baseline = build_baseline(query_payload, ingest_payload,
-                                  serve_payload)
-        parent = os.path.dirname(args.baseline)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        write_baseline(baseline, args.baseline)
-        print(f"wrote {len(baseline['headlines'])} headline(s) to "
-              f"{args.baseline}")
-        return 0
-
-    if not os.path.exists(args.baseline):
-        print(f"error: baseline {args.baseline} not found "
-              f"(run with --write-baseline first)", file=sys.stderr)
-        return 2
-    baseline = load_baseline(args.baseline)
-    problems = check_contract(current, baseline)
-    if args.json:
-        print(json.dumps({"headlines": current, "problems": problems},
-                         indent=2, sort_keys=True))
-    else:
-        print(render_contract(current, baseline))
-        for problem in problems:
-            print(f"contract violation: {problem}", file=sys.stderr)
-    if problems:
-        return 1
-    print("perf contract holds "
-          f"({len(current)} headline(s) checked)", file=sys.stderr)
     return 0
 
 
@@ -939,32 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "as JSON lines (can be large)")
     experiments.set_defaults(func=_cmd_experiments)
 
-    bench = commands.add_parser(
-        "bench",
-        help="benchmark flat vs block postings on the paper workloads")
-    bench.add_argument("--users", type=int, default=400,
-                       help="synthetic corpus users")
-    bench.add_argument("--roots", type=int, default=2000,
-                       help="synthetic corpus root tweets")
-    bench.add_argument("--seed", type=int, default=42)
-    bench.add_argument("--queries", type=int, default=12,
-                       help="queries per workload")
-    bench.add_argument("--radius", type=float, default=20.0,
-                       help="query radius (km)")
-    bench.add_argument("--k", type=int, default=10)
-    bench.add_argument("--block-size", type=int, default=128,
-                       help="postings entries per block")
-    bench.add_argument("--output", default="", metavar="FILE",
-                       help="write the JSON report to FILE "
-                            "(e.g. BENCH_query.json)")
-    bench.add_argument("--overhead-rounds", type=int, default=3,
-                       help="rounds for the telemetry-overhead measurement "
-                            "(0 disables it)")
-    bench.add_argument("--max-overhead", type=float, default=1.05,
-                       help="fail when enabled/disabled latency ratio "
-                            "exceeds this budget")
-    bench.set_defaults(func=_cmd_bench)
-
     ingest = commands.add_parser(
         "ingest",
         help="stream posts through the real-time write path "
@@ -1014,56 +807,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="abort if quiescence takes more steps")
     compact.add_argument("--json", action="store_true")
     compact.set_defaults(func=_cmd_compact)
-
-    ingest_bench = commands.add_parser(
-        "ingest-bench",
-        help="mixed workload bench: query latency while appends land")
-    ingest_bench.add_argument("--users", type=int, default=300,
-                              help="synthetic corpus users")
-    ingest_bench.add_argument("--roots", type=int, default=1500,
-                              help="synthetic corpus root tweets")
-    ingest_bench.add_argument("--seed", type=int, default=42)
-    ingest_bench.add_argument("--queries", type=int, default=24)
-    ingest_bench.add_argument("--appends-per-query", type=int, default=8)
-    ingest_bench.add_argument("--flush-posts", type=int, default=400)
-    ingest_bench.add_argument("--sync-every", type=int, default=1)
-    ingest_bench.add_argument("--radius", type=float, default=20.0)
-    ingest_bench.add_argument("--k", type=int, default=10)
-    ingest_bench.add_argument("--directory", default="", metavar="DIR",
-                              help="run against DIR instead of a "
-                                   "temporary directory (kept afterwards)")
-    ingest_bench.add_argument("--telemetry", action="store_true",
-                              help="run with the continuous telemetry "
-                                   "runtime on; attach its status and "
-                                   "the health verdict to the report")
-    ingest_bench.add_argument("--output", default="", metavar="FILE",
-                              help="write the JSON report to FILE "
-                                   "(e.g. BENCH_ingest.json)")
-    ingest_bench.set_defaults(func=_cmd_ingest_bench)
-
-    serve_bench = commands.add_parser(
-        "serve-bench",
-        help="serving bench: worker scaling, overload shedding, result "
-             "cache under mixed ingest+query traffic")
-    serve_bench.add_argument("--users", type=int, default=300,
-                             help="synthetic corpus users")
-    serve_bench.add_argument("--roots", type=int, default=1500,
-                             help="synthetic corpus root tweets")
-    serve_bench.add_argument("--seed", type=int, default=42)
-    serve_bench.add_argument("--duration", type=float, default=2.5,
-                             help="seconds per traffic phase")
-    serve_bench.add_argument("--clients", type=int, default=8,
-                             help="closed-loop client threads")
-    serve_bench.add_argument("--smoke", action="store_true",
-                             help="fast CI path: tiny corpus and "
-                                  "sub-second phases, same report schema")
-    serve_bench.add_argument("--directory", default="", metavar="DIR",
-                             help="run against DIR instead of a "
-                                  "temporary directory (kept afterwards)")
-    serve_bench.add_argument("--output", default="", metavar="FILE",
-                             help="write the JSON report to FILE "
-                                  "(e.g. BENCH_serve.json)")
-    serve_bench.set_defaults(func=_cmd_serve_bench)
 
     serve = commands.add_parser(
         "serve",
@@ -1128,25 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="serving pool size behind the dashboard's "
                           "query traffic")
     top.set_defaults(func=_cmd_top)
-
-    contract = commands.add_parser(
-        "perf-contract",
-        help="check committed bench headlines against the perf baseline")
-    contract.add_argument("--query-report", default="BENCH_query.json",
-                          metavar="FILE")
-    contract.add_argument("--ingest-report", default="BENCH_ingest.json",
-                          metavar="FILE")
-    contract.add_argument("--serve-report", default="BENCH_serve.json",
-                          metavar="FILE")
-    contract.add_argument("--baseline",
-                          default="benchmarks/baselines/perf_contract.json",
-                          metavar="FILE")
-    contract.add_argument("--write-baseline", action="store_true",
-                          help="rewrite the baseline from the current "
-                               "reports")
-    contract.add_argument("--json", action="store_true",
-                          help="emit headlines + violations as JSON")
-    contract.set_defaults(func=_cmd_perf_contract)
 
     check = commands.add_parser(
         "check",

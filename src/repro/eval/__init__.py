@@ -1,6 +1,5 @@
 """Evaluation harness reproducing Section VI: the variant Kendall tau,
-timing helpers, the simulated user study, and one experiment function
-per table/figure."""
+the simulated user study, and one experiment function per table/figure."""
 
 from .experiments import (
     ExperimentContext,
@@ -23,7 +22,6 @@ from .experiments import (
 from .kendall import average_tau, kendall_tau, kendall_tau_classic, padded_ranks
 from .plots import bar_chart, line_chart, series_from_rows
 from .report import format_table, print_table
-from .timing import Stopwatch, TimingResult, time_callable
 from .userstudy import SimulatedUserStudy, StudyConfig
 
 __all__ = [
@@ -33,9 +31,7 @@ __all__ = [
     "MULTI_RADII",
     "SMALL_RADII",
     "SimulatedUserStudy",
-    "Stopwatch",
     "StudyConfig",
-    "TimingResult",
     "average_tau",
     "bar_chart",
     "fig5_index_construction_time",
@@ -56,5 +52,4 @@ __all__ = [
     "series_from_rows",
     "table2_keyword_frequencies",
     "table4_geohash_lengths",
-    "time_callable",
 ]

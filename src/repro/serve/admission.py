@@ -20,9 +20,8 @@ both the workers (who just ``take``) and the clients (who just
   anti-starvation rotation keeps the normal lane draining under a
   saturated fast lane.
 
-With ``shedding=False`` the queue is effectively unbounded — the
-configuration the serve bench uses as the overload control arm, where
-tail latency is left to grow without limit.
+Shedding cannot be switched off: without it the queue is unbounded and
+overload turns into tail latency that grows without limit.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ class AdmissionConfig:
 
     max_queue_depth: int = 64
     queue_delay_budget_ms: float = 500.0
-    shedding: bool = True
     #: plans at or under both bounds ride the fast lane
     fast_lane_max_keywords: int = 1
     fast_lane_max_radius_km: float = 10.0
@@ -106,21 +104,20 @@ class AdmissionQueue:
         with self._cond:
             if self._closed:
                 raise ShedError("server is shutting down")
-            if self.config.shedding:
-                depth = len(self._fast) + len(self._normal)
-                if depth >= self.config.max_queue_depth:
-                    self._shed += 1
-                    raise ShedError(
-                        f"admission queue full ({depth} waiting)",
-                        retry_after_seconds=self._estimated_delay_locked())
-                delay = self._estimated_delay_locked()
-                budget = self.config.queue_delay_budget_ms / 1000.0
-                if delay > budget:
-                    self._shed += 1
-                    raise ShedError(
-                        f"estimated queue delay {delay * 1000:.0f}ms exceeds "
-                        f"budget {self.config.queue_delay_budget_ms:.0f}ms",
-                        retry_after_seconds=delay - budget)
+            depth = len(self._fast) + len(self._normal)
+            if depth >= self.config.max_queue_depth:
+                self._shed += 1
+                raise ShedError(
+                    f"admission queue full ({depth} waiting)",
+                    retry_after_seconds=self._estimated_delay_locked())
+            delay = self._estimated_delay_locked()
+            budget = self.config.queue_delay_budget_ms / 1000.0
+            if delay > budget:
+                self._shed += 1
+                raise ShedError(
+                    f"estimated queue delay {delay * 1000:.0f}ms exceeds "
+                    f"budget {self.config.queue_delay_budget_ms:.0f}ms",
+                    retry_after_seconds=delay - budget)
             self._offered += 1
             (self._fast if fast else self._normal).append(item)
             self._cond.notify()

@@ -19,7 +19,8 @@ therefore purely a memory-bound concern: :meth:`purge_stale` drops
 entries from superseded tokens, and an LRU bound caps the rest.  A hit
 returns the exact object sequence the original execution produced —
 byte-identical to re-running the query at the same watermark, which
-``BENCH_serve.json``'s ``cached_results_identical`` headline asserts.
+``tests/test_serve_cache_properties.py`` checks as a property across
+appends and flushes.
 """
 
 from __future__ import annotations

@@ -9,9 +9,6 @@ Two standard load models, both driving one :class:`~.server.QueryServer`:
 * **open loop** — a dispatcher submits at a scheduled arrival rate
   regardless of completions (the model of independent clients, which
   is what exposes overload: queue growth, deadline misses, shedding).
-  A ``burst_factor`` > 1 modulates the rate with a square wave —
-  ``burst_factor``× the base rate during bursts, compensatingly low
-  between them — for the bursty-client arm of the bench.
 
 Latency is measured enqueue→completion from the ticket's own
 timestamps, so open-loop numbers include queueing (coordinated
@@ -29,7 +26,7 @@ from typing import Any, Callable, Dict, List, Optional
 from .deadline import ShedError
 from .server import QueryServer, Ticket
 
-#: Reported latency quantiles (matching the bench report schema).
+#: Reported latency quantiles.
 QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999))
 
 
@@ -44,9 +41,8 @@ def _quantile(values: List[float], fraction: float) -> float:
 
 @dataclass
 class TrafficResult:
-    """Everything one traffic run observed, ready for the bench report."""
+    """Everything one traffic run observed."""
 
-    mode: str
     duration_seconds: float = 0.0
     issued: int = 0
     completed: int = 0
@@ -54,7 +50,6 @@ class TrafficResult:
     timeouts: int = 0
     cancelled: int = 0
     errors: int = 0
-    cache_hits: int = 0
     latencies_seconds: List[float] = field(default_factory=list)
 
     def throughput_qps(self) -> float:
@@ -67,37 +62,13 @@ class TrafficResult:
             return 0.0
         return self.shed / self.issued
 
-    def cache_hit_rate(self) -> float:
-        if self.completed <= 0:
-            return 0.0
-        return self.cache_hits / self.completed
-
     def latency_quantiles_ms(self) -> Dict[str, float]:
         return {name: round(_quantile(self.latencies_seconds, q) * 1000.0, 3)
                 for name, q in QUANTILES}
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "mode": self.mode,
-            "duration_seconds": self.duration_seconds,
-            "issued": self.issued,
-            "completed": self.completed,
-            "shed": self.shed,
-            "timeouts": self.timeouts,
-            "cancelled": self.cancelled,
-            "errors": self.errors,
-            "cache_hits": self.cache_hits,
-            "throughput_qps": self.throughput_qps(),
-            "shed_rate": self.shed_rate(),
-            "cache_hit_rate": self.cache_hit_rate(),
-            "latency_ms": self.latency_quantiles_ms(),
-        }
-
     def _absorb(self, ticket: Ticket) -> None:
         if ticket.outcome == "ok":
             self.completed += 1
-            if ticket.cached:
-                self.cache_hits += 1
             latency = ticket.latency_seconds()
             if latency is not None:
                 self.latencies_seconds.append(latency)
@@ -116,7 +87,7 @@ def run_closed_loop(server: QueryServer,
                     method: str = "max",
                     timeout_seconds: Optional[float] = None) -> TrafficResult:
     """Drive ``clients`` back-to-back issue loops for the duration."""
-    result = TrafficResult(mode="closed")
+    result = TrafficResult()
     lock = threading.Lock()
     stop_at = time.monotonic() + duration_seconds
 
@@ -155,18 +126,11 @@ def run_open_loop(server: QueryServer,
                   rate_qps: float,
                   duration_seconds: float,
                   method: str = "max",
-                  timeout_seconds: Optional[float] = None,
-                  burst_factor: float = 1.0,
-                  burst_period_seconds: float = 1.0) -> TrafficResult:
-    """Submit on a fixed arrival schedule; collect outcomes at the end.
-
-    With ``burst_factor > 1`` the schedule alternates each half period
-    between ``burst_factor``× and ``(2 - burst_factor)``× the base rate
-    (floored at a trickle), keeping the same average arrival count.
-    """
+                  timeout_seconds: Optional[float] = None) -> TrafficResult:
+    """Submit on a fixed arrival schedule; collect outcomes at the end."""
     if rate_qps <= 0:
         raise ValueError(f"rate_qps must be > 0: {rate_qps}")
-    result = TrafficResult(mode="open" if burst_factor <= 1.0 else "bursty")
+    result = TrafficResult()
     tickets: List[Ticket] = []
     start = time.monotonic()
     stop_at = start + duration_seconds
@@ -183,18 +147,7 @@ def run_open_loop(server: QueryServer,
             tickets.append(server.submit(query, method, timeout_seconds))
         except ShedError:
             result.shed += 1
-        # Next arrival from the instantaneous rate at this point of the
-        # burst cycle (deterministic schedule: repeatable, and immune to
-        # coordinated omission since it never waits on completions).
-        if burst_factor > 1.0:
-            phase = ((next_arrival - start) % burst_period_seconds
-                     ) / burst_period_seconds
-            factor = burst_factor if phase < 0.5 else \
-                max(0.1, 2.0 - burst_factor)
-            instantaneous = rate_qps * factor
-        else:
-            instantaneous = rate_qps
-        next_arrival += 1.0 / instantaneous
+        next_arrival += 1.0 / rate_qps
     # Let in-flight tickets finish (bounded by their own deadlines plus
     # a scheduling grace).
     grace = (timeout_seconds if timeout_seconds is not None

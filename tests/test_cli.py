@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import os
+import re
 
 import pytest
 
@@ -171,64 +172,17 @@ class TestTopCommand:
         assert "\x1b[2J" not in out
 
 
-class TestPerfContractCommand:
-    @pytest.fixture()
-    def reports(self, tmp_path):
-        import json as json_mod
-        from tests.test_eval_contract import (make_ingest_payload,
-                                              make_query_payload)
-        query = tmp_path / "q.json"
-        ingest = tmp_path / "i.json"
-        query.write_text(json_mod.dumps(make_query_payload()))
-        ingest.write_text(json_mod.dumps(make_ingest_payload()))
-        return query, ingest, tmp_path / "baseline.json"
-
-    def test_write_then_check_holds(self, reports, capsys):
-        query, ingest, baseline = reports
-        argv = ["perf-contract", "--query-report", str(query),
-                "--ingest-report", str(ingest), "--baseline", str(baseline)]
-        assert main(argv + ["--write-baseline"]) == 0
-        assert baseline.exists()
-        capsys.readouterr()
-        assert main(argv) == 0
-        err = capsys.readouterr().err
-        assert "perf contract holds" in err
-
-    def test_regression_fails_with_violation(self, reports, capsys):
-        import json as json_mod
-        from tests.test_eval_contract import make_ingest_payload
-        query, ingest, baseline = reports
-        argv = ["perf-contract", "--query-report", str(query),
-                "--ingest-report", str(ingest), "--baseline", str(baseline)]
-        assert main(argv + ["--write-baseline"]) == 0
-        ingest.write_text(json_mod.dumps(make_ingest_payload(aps=1000.0)))
-        capsys.readouterr()
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert "contract violation" in err
-        assert "appends_per_second" in err
-
-    def test_json_output(self, reports, capsys):
-        import json as json_mod
-        query, ingest, baseline = reports
-        argv = ["perf-contract", "--query-report", str(query),
-                "--ingest-report", str(ingest), "--baseline", str(baseline)]
-        assert main(argv + ["--write-baseline"]) == 0
-        capsys.readouterr()
-        assert main(argv + ["--json"]) == 0
-        payload = json_mod.loads(capsys.readouterr().out)
-        assert payload["problems"] == []
-        assert "query.telemetry.overhead_ratio" in payload["headlines"]
-
-    def test_missing_baseline_is_exit_2(self, reports, capsys):
-        query, ingest, baseline = reports
-        assert main(["perf-contract", "--query-report", str(query),
-                     "--ingest-report", str(ingest),
-                     "--baseline", str(baseline)]) == 2
-        assert "--write-baseline" in capsys.readouterr().err
-
-    def test_missing_reports_is_exit_2(self, tmp_path, capsys):
-        assert main(["perf-contract",
-                     "--query-report", str(tmp_path / "none.json"),
-                     "--ingest-report", str(tmp_path / "none2.json"),
-                     "--baseline", str(tmp_path / "b.json")]) == 2
+class TestServeCommand:
+    @pytest.mark.parametrize("traffic", [
+        ["--clients", "2", "--ingest-rate", "20"],
+        ["--rate", "20"],
+    ], ids=["closed_loop", "open_loop"])
+    def test_serves_and_reports(self, traffic, capsys):
+        assert main(["serve", "--users", "40", "--roots", "160",
+                     "--duration", "0.5"] + traffic) == 0
+        out = capsys.readouterr().out
+        served = re.search(r"served (\d+)/(\d+) queries", out)
+        assert served is not None
+        completed, issued = map(int, served.groups())
+        assert 0 < completed <= issued
+        assert re.search(r"^  shed \d+ ", out, re.MULTILINE)

@@ -1,12 +1,18 @@
 """Tests for the hybrid index facade."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.model import Post
+from repro.core.temporal import TemporalSpec, TimeWindow
+from repro.data.generator import generate_corpus
+from repro.data.queries import QueryWorkload
 from repro.dfs.cluster import paper_cluster
 from repro.geo import geohash
 from repro.index.builder import IndexConfig
 from repro.index.hybrid import HybridIndex
+from repro.query.engine import EngineConfig, TkLUSEngine
 from repro.text import Analyzer
 
 TORONTO = (43.6532, -79.3832)
@@ -157,3 +163,55 @@ class TestSizeReporting:
 
     def test_forward_size_positive(self, index):
         assert index.forward_size_bytes() > 0
+
+
+def _format_runs():
+    """Run one small workload against a flat and a block engine built
+    from the same corpus: per query shape and format, the max-score
+    rankings and the postings bytes decoded from cold caches."""
+    corpus = generate_corpus(num_users=60, num_root_tweets=300, seed=42)
+    workload = QueryWorkload(corpus, seed=42)
+    single = workload.make_queries(1, 20.0, k=10, limit=3)
+    sids = sorted(post.sid for post in corpus.posts)
+    # The central fifth of the timestamp range clips most postings
+    # lists inside a block, so its boundary blocks go through clip().
+    half = len(sids) // 10
+    window = TemporalSpec(window=TimeWindow(sids[len(sids) // 2 - half],
+                                            sids[len(sids) // 2 + half]))
+    shapes = {
+        "single": single,
+        "single_windowed": [replace(q, temporal=window) for q in single],
+        "multi": workload.make_queries(2, 20.0, k=10, limit=3),
+    }
+    runs = {shape: {} for shape in shapes}
+    for fmt in ("flat", "block"):
+        engine = TkLUSEngine.from_posts(
+            corpus.posts, cluster=paper_cluster(),
+            config=EngineConfig(index=IndexConfig(postings_format=fmt)))
+        for shape, queries in shapes.items():
+            engine.index.clear_caches()
+            engine.threads.clear_cache()
+            before = engine.index.stats.snapshot()
+            rankings = [engine.search_max(query).users for query in queries]
+            decoded = engine.index.stats.diff(before)["bytes_decoded"]
+            runs[shape][fmt] = (rankings, decoded)
+    return runs
+
+
+class TestFormatParity:
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return _format_runs()
+
+    @pytest.mark.parametrize("shape",
+                             ["single", "single_windowed", "multi"])
+    def test_block_answers_like_flat_and_decodes_less(self, runs, shape):
+        flat_rankings, flat_decoded = runs[shape]["flat"]
+        block_rankings, block_decoded = runs[shape]["block"]
+        assert block_rankings == flat_rankings
+        assert 0 < block_decoded < flat_decoded
+        if shape == "single_windowed":
+            # A window only ever narrows what is decoded: a clip()
+            # boundary block that decode_block_arrays() decoded a second
+            # time would push the windowed run past the unwindowed one.
+            assert block_decoded <= runs["single"]["block"][1]

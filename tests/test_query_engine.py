@@ -6,6 +6,7 @@ from repro.core.model import Semantics
 from repro.data.generator import generate_corpus
 from repro.index.builder import IndexConfig
 from repro.query.engine import EngineConfig, TkLUSEngine
+from repro.query.results import QueryResult, QueryStats
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +64,19 @@ class TestSearchApi:
         first = engine.search_max(query).users
         second = engine.search_max(query).users
         assert first == second
+
+
+class TestQueryStats:
+    def test_prune_rate(self):
+        stats = QueryStats(threads_built=6, threads_pruned=4)
+        assert stats.prune_rate == pytest.approx(0.4)
+
+    def test_prune_rate_no_work(self):
+        assert QueryStats().prune_rate == 0.0
+
+
+class TestQueryResult:
+    def test_ranking_and_len(self):
+        result = QueryResult(users=[(3, 0.9), (1, 0.5)])
+        assert result.ranking() == [3, 1]
+        assert len(result) == 2

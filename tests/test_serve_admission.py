@@ -89,15 +89,6 @@ class TestAdmissionQueue:
             queue.offer("b", fast=False)
         assert info.value.retry_after_seconds == pytest.approx(0.5)
 
-    def test_shedding_off_is_unbounded(self):
-        queue = AdmissionQueue(AdmissionConfig(max_queue_depth=2,
-                                               shedding=False))
-        queue.observe_service_time(10.0)
-        for index in range(50):
-            queue.offer(index, fast=False)
-        assert queue.depth() == 50
-        assert queue.stats()["shed"] == 0
-
     def test_service_time_ewma_converges(self):
         queue = AdmissionQueue()
         queue.observe_service_time(1.0)
