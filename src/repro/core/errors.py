@@ -13,10 +13,3 @@ class QueryError(ReproError):
 
 class DatasetError(ReproError):
     """Raised for inconsistent dataset construction."""
-
-
-class IndexError_(ReproError):
-    """Raised for hybrid-index corruption or misuse.
-
-    Named with a trailing underscore to avoid shadowing the builtin.
-    """

@@ -38,6 +38,3 @@ class BlockInfo:
     block_id: BlockId
     length: int
     replicas: List[str] = field(default_factory=list)  # datanode ids
-
-    def is_replicated(self, target: int) -> bool:
-        return len(self.replicas) >= target

@@ -56,12 +56,6 @@ def lat_lon_to_cell(lat: float, lon: float, bits_per_axis: int) -> Tuple[int, in
     return (min(x, n - 1), min(y, n - 1))
 
 
-def morton_code(lat: float, lon: float, bits_per_axis: int) -> int:
-    """Morton code of a coordinate at ``bits_per_axis`` bits of resolution."""
-    x, y = lat_lon_to_cell(lat, lon, bits_per_axis)
-    return interleave(x, y, bits_per_axis)
-
-
 def zorder_ranges(min_x: int, min_y: int, max_x: int, max_y: int,
                   bits: int, max_ranges: int = 64) -> List[Tuple[int, int]]:
     """Decompose the rectangle ``[min_x, max_x] x [min_y, max_y]`` (cell

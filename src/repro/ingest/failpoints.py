@@ -60,9 +60,6 @@ class Failpoints:
             raise ValueError(f"skip must be >= 0: {skip}")
         self._armed[point] = skip
 
-    def disarm(self, point: str) -> None:
-        self._armed.pop(point, None)
-
     def hit(self, point: str) -> bool:
         """Consume one hit of ``point``; True when the armed countdown
         reaches zero (the caller must then raise

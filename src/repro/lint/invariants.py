@@ -452,16 +452,6 @@ def validate_quadtree(tree: QuadTree, name: str = "quadtree"
     return violations
 
 
-def validate_database(database: MetadataDatabase
-                      ) -> List[InvariantViolation]:
-    """All storage-layer validators over one metadata database."""
-    violations: List[InvariantViolation] = []
-    for tree_name, tree in database.indexes().items():
-        violations.extend(validate_bptree(tree, name=f"bptree[{tree_name}]"))
-    violations.extend(validate_heap_pages(database.heap))
-    return violations
-
-
 # -- WAL and memtable (the real-time write path) -----------------------------
 
 def validate_wal_segments(wal_dir: str, name: str = "wal"

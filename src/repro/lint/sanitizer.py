@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Set, Tuple, Type)
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, Type
 
 __all__ = [
     "LockSanitizer",
@@ -111,9 +110,6 @@ class LockSanitizer:
             with self._state_lock:
                 self._thread_states.append(state)
         return state
-
-    def held_locks(self) -> Tuple[str, ...]:
-        return tuple(self._state().stack)
 
     def is_held(self, name: str) -> bool:
         return name in self._state().stack

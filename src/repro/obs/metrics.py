@@ -321,11 +321,6 @@ class MetricsRegistry:
         with self._lock:
             return self._counters.get(name)
 
-    def find_gauge(self, name: str) -> Optional[Gauge]:
-        """The named gauge, or None (non-creating)."""
-        with self._lock:
-            return self._gauges.get(name)
-
     def find_histogram(self, name: str) -> Optional[Histogram]:
         """The named histogram, or None (non-creating)."""
         with self._lock:

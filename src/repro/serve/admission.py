@@ -89,11 +89,6 @@ class AdmissionQueue:
 
     # -- client side --------------------------------------------------------
 
-    def estimated_delay_seconds(self) -> float:
-        """Expected queue wait for an arrival right now."""
-        with self._cond:
-            return self._estimated_delay_locked()
-
     # holds-lock: _cond
     def _estimated_delay_locked(self) -> float:
         depth = len(self._fast) + len(self._normal)

@@ -10,15 +10,35 @@ supports both unique indexes (``(sid, 0)``) and duplicate-key indexes
 retrieved with a prefix range scan).  Values are signed 64-bit integers
 (packed record pointers).
 
-Nodes serialise into buffer-pool pages; page 0 of the tree's file is a
-metadata page holding the root pointer, height and entry count.  Deletion
-implements full rebalancing (borrow from siblings, merge, root collapse).
+Page 0 of the tree's file is a metadata page holding the root pointer,
+height and entry count.  Every other page is one node: a ``(type, key
+count, next leaf)`` header, then either ``count`` leaf entries ``(k1, k2,
+value)`` or ``count`` separator keys followed by ``count + 1`` child page
+numbers.
+
+Searches and inserts work on the bytes of the pinned page.  ``get``,
+``get_many``, ``range`` and ``prefix`` bisect keys with ``unpack_from`` at
+computed offsets and unpack only the leaf entries they return; an insert
+into a leaf with room shifts the entries after the new one by one slot
+and packs the new entry in the gap.  A node is decoded into a
+:class:`_Node` only to split a full leaf, to delete (which implements full
+rebalancing: borrow from siblings, merge, root collapse) and to check
+invariants, and each decode or encode is one ``struct`` call.  Every read
+validates the node header, so a corrupt type or key count raises
+:class:`BPlusTreeError` naming the page.
+
+The tree takes no lock.  A reader bisecting a page must not interleave
+with a writer shifting it, so callers sharing a tree between threads
+serialise every call (:class:`~repro.storage.metadata.MetadataDatabase`
+holds one lock around each).
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .page import INVALID_PAGE, PAGE_SIZE, Page
@@ -33,6 +53,8 @@ _NODE_HEADER = struct.Struct("<BHI")  # type, key count, next-leaf page
 _LEAF_ENTRY = struct.Struct("<qqq")   # k1, k2, value
 _KEY = struct.Struct("<qq")
 _CHILD = struct.Struct("<I")
+
+_BODY = _NODE_HEADER.size
 
 _TYPE_LEAF = 0
 _TYPE_INTERNAL = 1
@@ -69,62 +91,94 @@ class _Node:
     next_leaf: int = INVALID_PAGE
 
 
+# Whole-node layouts by key count.  Counts are validated against
+# LEAF_MAX / INTERNAL_MAX before use, which keeps both caches finite.
+
+@lru_cache(maxsize=None)
+def _leaf_body(count: int) -> struct.Struct:
+    return struct.Struct(f"<{3 * count}q")
+
+
+@lru_cache(maxsize=None)
+def _internal_body(count: int) -> struct.Struct:
+    return struct.Struct(f"<{2 * count}q{count + 1}I")
+
+
+def _read_header(page: Page) -> Tuple[int, int, int]:
+    """``(type, count, next_leaf)`` of a node page, after checking the
+    type and that ``count`` fits the page."""
+    node_type, count, next_leaf = _NODE_HEADER.unpack_from(page.data, 0)
+    if node_type == _TYPE_LEAF:
+        limit = LEAF_MAX
+    elif node_type == _TYPE_INTERNAL:
+        limit = INTERNAL_MAX
+    else:
+        raise BPlusTreeError(f"page {page.page_no} has invalid node type {node_type}")
+    if count > limit:
+        raise BPlusTreeError(
+            f"page {page.page_no} claims {count} keys, more than {limit}")
+    return node_type, count, next_leaf
+
+
+def _node_header(page: Page, node_type: int) -> Tuple[int, int]:
+    """``(count, next_leaf)`` of a page the descent expects to hold a
+    node of ``node_type``."""
+    found, count, next_leaf = _read_header(page)
+    if found != node_type:
+        expected = "leaf" if node_type == _TYPE_LEAF else "internal"
+        raise BPlusTreeError(
+            f"page {page.page_no} is not a {expected} node at its depth")
+    return count, next_leaf
+
+
+def _leaf_bisect(data: bytearray, count: int, key: Key, lo: int = 0) -> int:
+    """Index of the first leaf entry whose key is >= ``key``."""
+    return bisect_left(range(_BODY, _BODY + count * _LEAF_ENTRY.size,
+                             _LEAF_ENTRY.size),
+                       key, lo, key=partial(_KEY.unpack_from, data))
+
+
+def _leaf_lookup(data: bytearray, count: int, key: Key, lo: int = 0
+                 ) -> Tuple[int, Optional[int]]:
+    """``(index, value)`` of ``key`` in a leaf; value is None when the key
+    is absent and ``index`` is where it would go."""
+    index = _leaf_bisect(data, count, key, lo)
+    if index < count:
+        k1, k2, value = _LEAF_ENTRY.unpack_from(
+            data, _BODY + index * _LEAF_ENTRY.size)
+        if (k1, k2) == key:
+            return index, value
+    return index, None
+
+
 def _serialize(node: _Node, page: Page) -> None:
     buffer = page.data
-    node_type = _TYPE_LEAF if node.is_leaf else _TYPE_INTERNAL
-    _NODE_HEADER.pack_into(buffer, 0, node_type, len(node.keys), node.next_leaf)
-    offset = _NODE_HEADER.size
+    count = len(node.keys)
     if node.is_leaf:
-        for key, value in zip(node.keys, node.values):
-            _LEAF_ENTRY.pack_into(buffer, offset, key[0], key[1], value)
-            offset += _LEAF_ENTRY.size
+        _NODE_HEADER.pack_into(buffer, 0, _TYPE_LEAF, count, node.next_leaf)
+        flat: List[int] = [0] * (3 * count)
+        flat[0::3] = [key[0] for key in node.keys]
+        flat[1::3] = [key[1] for key in node.keys]
+        flat[2::3] = node.values
+        _leaf_body(count).pack_into(buffer, _BODY, *flat)
     else:
-        for key in node.keys:
-            _KEY.pack_into(buffer, offset, key[0], key[1])
-            offset += _KEY.size
-        for child in node.children:
-            _CHILD.pack_into(buffer, offset, child)
-            offset += _CHILD.size
+        _NODE_HEADER.pack_into(buffer, 0, _TYPE_INTERNAL, count, node.next_leaf)
+        _internal_body(count).pack_into(
+            buffer, _BODY, *[part for key in node.keys for part in key],
+            *node.children)
     page.mark_dirty()
 
 
 def _deserialize(page: Page) -> _Node:
-    node_type, count, next_leaf = _NODE_HEADER.unpack_from(page.data, 0)
-    offset = _NODE_HEADER.size
+    node_type, count, next_leaf = _read_header(page)
     if node_type == _TYPE_LEAF:
-        keys: List[Key] = []
-        values: List[int] = []
-        for _ in range(count):
-            k1, k2, value = _LEAF_ENTRY.unpack_from(page.data, offset)
-            offset += _LEAF_ENTRY.size
-            keys.append((k1, k2))
-            values.append(value)
-        return _Node(page.page_no, True, keys, values, [], next_leaf)
-    if node_type == _TYPE_INTERNAL:
-        keys = []
-        for _ in range(count):
-            k1, k2 = _KEY.unpack_from(page.data, offset)
-            offset += _KEY.size
-            keys.append((k1, k2))
-        children = []
-        for _ in range(count + 1):
-            (child,) = _CHILD.unpack_from(page.data, offset)
-            offset += _CHILD.size
-            children.append(child)
-        return _Node(page.page_no, False, keys, [], children, INVALID_PAGE)
-    raise BPlusTreeError(f"page {page.page_no} has invalid node type {node_type}")
-
-
-def _bisect_keys(keys: List[Key], key: Key) -> int:
-    """Index of the first element in ``keys`` >= ``key``."""
-    lo, hi = 0, len(keys)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if keys[mid] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+        flat = _leaf_body(count).unpack_from(page.data, _BODY)
+        return _Node(page.page_no, True, list(zip(flat[0::3], flat[1::3])),
+                     list(flat[2::3]), [], next_leaf)
+    flat = _internal_body(count).unpack_from(page.data, _BODY)
+    keys = list(zip(flat[0:2 * count:2], flat[1:2 * count:2]))
+    return _Node(page.page_no, False, keys, [], list(flat[2 * count:]),
+                 INVALID_PAGE)
 
 
 class BPlusTree:
@@ -198,35 +252,49 @@ class BPlusTree:
     def _new_node(self, is_leaf: bool) -> _Node:
         page = self._pool.allocate_page()
         try:
-            node = _Node(page.page_no, is_leaf, [], [], [])
-            _serialize(node, page)
-            return node
+            _NODE_HEADER.pack_into(page.data, 0,
+                                   _TYPE_LEAF if is_leaf else _TYPE_INTERNAL,
+                                   0, INVALID_PAGE)
+            page.mark_dirty()
+            return _Node(page.page_no, is_leaf, [], [], [])
         finally:
             self._pool.unpin(page)
 
     # -- search ----------------------------------------------------------
 
+    def _leaf_page(self, key: Key) -> int:
+        """Page number of the leaf whose key range holds ``key``, found by
+        bisecting each internal page in place (one pin at a time)."""
+        page_no = self._root_page
+        for _level in range(self._height - 1):
+            with self._pool.pinned(page_no) as page:
+                count, _next = _node_header(page, _TYPE_INTERNAL)
+                data = page.data
+                # A key equal to a separator belongs to the right child.
+                index = bisect_right(
+                    range(_BODY, _BODY + count * _KEY.size, _KEY.size),
+                    key, key=partial(_KEY.unpack_from, data))
+                (page_no,) = _CHILD.unpack_from(
+                    data, _BODY + count * _KEY.size + index * _CHILD.size)
+        return page_no
+
     def _descend_to_leaf(self, key: Key) -> Tuple[_Node, List[Tuple[_Node, int]]]:
-        """Walk from root to the leaf for ``key``, returning the leaf and
-        the path of ``(internal_node, child_index)`` taken."""
+        """Decode the root-to-leaf path for ``key``: the leaf and the
+        ``(internal_node, child_index)`` pairs taken.  Only the paths that
+        restructure nodes (leaf split, delete) need it."""
         path: List[Tuple[_Node, int]] = []
         node = self._load(self._root_page)
         while not node.is_leaf:
-            index = _bisect_keys(node.keys, key)
-            # Internal separator keys direct equal keys to the right child.
-            if index < len(node.keys) and node.keys[index] == key:
-                index += 1
+            index = bisect_right(node.keys, key)
             path.append((node, index))
             node = self._load(node.children[index])
         return node, path
 
     def get(self, key: Key) -> Optional[int]:
         """Return the value stored at ``key``, or None."""
-        leaf, _path = self._descend_to_leaf(key)
-        index = _bisect_keys(leaf.keys, key)
-        if index < len(leaf.keys) and leaf.keys[index] == key:
-            return leaf.values[index]
-        return None
+        with self._pool.pinned(self._leaf_page(key)) as page:
+            count, _next = _node_header(page, _TYPE_LEAF)
+            return _leaf_lookup(page.data, count, key)[1]
 
     def __contains__(self, key: Key) -> bool:
         return self.get(key) is not None
@@ -234,56 +302,57 @@ class BPlusTree:
     def get_many(self, keys: Sequence[Key]) -> Dict[Key, int]:
         """Point lookups for a whole batch of keys in one pass.
 
-        Keys are visited in sorted order with a per-call node memo, so
-        lookups whose root-to-leaf paths overlap deserialize each node
-        once instead of once per key (``get`` re-deserializes the full
-        path every call).  Absent keys are simply missing from the
-        result.  The memo holds plain decoded nodes, never pinned
-        pages, so batch size does not constrain the buffer pool.
+        Keys are visited in sorted order.  While the next key is no
+        greater than the current leaf's last key it can only live in that
+        leaf, so the batch stays on the leaf instead of descending from
+        the root again.  Absent keys are simply missing from the result.
         """
         found: Dict[Key, int] = {}
-        if not keys:
-            return found
-        nodes: Dict[int, _Node] = {}
-
-        def load(page_no: int) -> _Node:
-            node = nodes.get(page_no)
-            if node is None:
-                node = self._load(page_no)
-                nodes[page_no] = node
-            return node
-
-        for key in sorted(set(keys)):
-            node = load(self._root_page)
-            while not node.is_leaf:
-                index = _bisect_keys(node.keys, key)
-                # Internal separator keys direct equal keys to the right
-                # child (same rule as _descend_to_leaf).
-                if index < len(node.keys) and node.keys[index] == key:
-                    index += 1
-                node = load(node.children[index])
-            index = _bisect_keys(node.keys, key)
-            if index < len(node.keys) and node.keys[index] == key:
-                found[key] = node.values[index]
+        ordered = sorted(set(keys))
+        position, total = 0, len(ordered)
+        while position < total:
+            with self._pool.pinned(self._leaf_page(ordered[position])) as page:
+                count, _next = _node_header(page, _TYPE_LEAF)
+                data = page.data
+                last = _KEY.unpack_from(
+                    data, _BODY + (count - 1) * _LEAF_ENTRY.size
+                ) if count else MIN_KEY
+                index = 0
+                while True:
+                    key = ordered[position]
+                    index, value = _leaf_lookup(data, count, key, index)
+                    if value is not None:
+                        found[key] = value
+                    position += 1
+                    if position == total or ordered[position] > last:
+                        break
         return found
 
     def range(self, lo: Key = MIN_KEY, hi: Key = MAX_KEY) -> Iterator[Tuple[Key, int]]:
-        """Yield ``(key, value)`` pairs with ``lo <= key <= hi`` in order."""
+        """Yield ``(key, value)`` pairs with ``lo <= key <= hi`` in order.
+
+        Each leaf's matches are unpacked while it is pinned and yielded
+        after it is unpinned, so no pin is held across a ``yield``.
+        """
         if lo > hi:
             return
-        leaf, _path = self._descend_to_leaf(lo)
-        index = _bisect_keys(leaf.keys, lo)
-        while True:
-            while index < len(leaf.keys):
-                key = leaf.keys[index]
-                if key > hi:
-                    return
-                yield (key, leaf.values[index])
-                index += 1
-            if leaf.next_leaf == INVALID_PAGE:
+        page_no = self._leaf_page(lo)
+        while page_no != INVALID_PAGE:
+            with self._pool.pinned(page_no) as page:
+                count, page_no = _node_header(page, _TYPE_LEAF)
+                data = page.data
+                start = _leaf_bisect(data, count, lo)
+                stop = bisect_right(
+                    range(_BODY, _BODY + count * _LEAF_ENTRY.size,
+                          _LEAF_ENTRY.size),
+                    hi, start, key=partial(_KEY.unpack_from, data))
+                matches = [((k1, k2), value) for k1, k2, value in
+                           _LEAF_ENTRY.iter_unpack(
+                               data[_BODY + start * _LEAF_ENTRY.size:
+                                    _BODY + stop * _LEAF_ENTRY.size])]
+            yield from matches
+            if stop < count:
                 return
-            leaf = self._load(leaf.next_leaf)
-            index = 0
 
     def prefix(self, first: int) -> Iterator[Tuple[Key, int]]:
         """All entries whose first key component equals ``first`` — the
@@ -302,22 +371,31 @@ class BPlusTree:
         :class:`DuplicateKeyError`; in a non-unique tree the old value is
         overwritten (callers encode duplicates into the key).
         """
-        leaf, path = self._descend_to_leaf(key)
-        index = _bisect_keys(leaf.keys, key)
-        if index < len(leaf.keys) and leaf.keys[index] == key:
-            if self.unique:
-                raise DuplicateKeyError(f"key {key} already present")
-            leaf.values[index] = value
-            self._store(leaf)
-            return
-        leaf.keys.insert(index, key)
-        leaf.values.insert(index, value)
+        with self._pool.pinned(self._leaf_page(key)) as page:
+            count, next_leaf = _node_header(page, _TYPE_LEAF)
+            data = page.data
+            index, old = _leaf_lookup(data, count, key)
+            offset = _BODY + index * _LEAF_ENTRY.size
+            if old is not None:
+                if self.unique:
+                    raise DuplicateKeyError(f"key {key} already present")
+                _LEAF_ENTRY.pack_into(data, offset, key[0], key[1], value)
+                page.mark_dirty()
+                return
+            full = count == LEAF_MAX
+            if not full:
+                end = _BODY + count * _LEAF_ENTRY.size
+                data[offset + _LEAF_ENTRY.size:end + _LEAF_ENTRY.size] = \
+                    data[offset:end]
+                _LEAF_ENTRY.pack_into(data, offset, key[0], key[1], value)
+                _NODE_HEADER.pack_into(data, 0, _TYPE_LEAF, count + 1, next_leaf)
+                page.mark_dirty()
         self._size += 1
-        if len(leaf.keys) <= LEAF_MAX:
-            self._store(leaf)
-            self._write_meta()
-            return
-        self._split_leaf(leaf, path)
+        if full:
+            leaf, path = self._descend_to_leaf(key)
+            leaf.keys.insert(index, key)
+            leaf.values.insert(index, value)
+            self._split_leaf(leaf, path)
         self._write_meta()
 
     def _split_leaf(self, leaf: _Node, path: List[Tuple[_Node, int]]) -> None:
@@ -365,7 +443,7 @@ class BPlusTree:
     def delete(self, key: Key) -> bool:
         """Remove ``key``; returns True if it was present."""
         leaf, path = self._descend_to_leaf(key)
-        index = _bisect_keys(leaf.keys, key)
+        index = bisect_left(leaf.keys, key)
         if index >= len(leaf.keys) or leaf.keys[index] != key:
             return False
         del leaf.keys[index]

@@ -19,11 +19,18 @@ mention: Definition 9 averages the distance score over *all* of a user's
 posts (``P_u``), which needs an efficient user-to-posts lookup.  The
 paper leaves the access path unstated; a secondary index is the natural
 engineering choice and its cost is accounted like the others.
+
+Query workers and the ingest writer share one database, and neither the
+buffer pools nor the trees take a lock (a B+-tree search bisects page
+bytes that an insert shifts in place).  :class:`MetadataDatabase` holds
+one lock across every public read and write; iterators materialise
+their results under it and yield after releasing it.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from .bptree import BPlusTree
@@ -51,19 +58,21 @@ class MetadataDatabase:
                  rsid_pool: BufferPool, uid_pool: BufferPool,
                  registry: StatsRegistry) -> None:
         self._registry = registry
-        self._heap = HeapFile(heap_pool)
-        self._sid_tree = BPlusTree(sid_pool, unique=True)
-        self._rsid_tree = BPlusTree(rsid_pool, unique=True)
-        self._uid_tree = BPlusTree(uid_pool, unique=True)
-        self._reply_counts: Dict[int, int] = {}
-        self._user_columns_cache: Dict[int, "tuple[List[float], List[float]]"] = {}
-        self._max_reply_fanout = 0
-        self._max_sid = 0
+        self._lock = threading.Lock()
+        self._heap = HeapFile(heap_pool)  # guarded-by: _lock
+        self._sid_tree = BPlusTree(sid_pool, unique=True)  # guarded-by: _lock
+        self._rsid_tree = BPlusTree(rsid_pool, unique=True)  # guarded-by: _lock
+        self._uid_tree = BPlusTree(uid_pool, unique=True)  # guarded-by: _lock
+        self._reply_counts: Dict[int, int] = {}  # guarded-by: _lock
+        self._user_columns_cache: Dict[
+            int, "tuple[List[float], List[float]]"] = {}  # guarded-by: _lock
+        self._max_reply_fanout = 0  # guarded-by: _lock
+        self._max_sid = 0  # guarded-by: _lock
         for (sid, _zero), _pointer in self._sid_tree.range(
                 (int(-2**62), 0), (int(2**62), 0)):
             if sid > self._max_sid:
                 self._max_sid = sid
-        self._rebuild_fanout_cache()
+        self._rebuild_fanout_cache_locked()
 
     # -- construction -------------------------------------------------------
 
@@ -98,7 +107,7 @@ class MetadataDatabase:
             registry=registry,
         )
 
-    def _rebuild_fanout_cache(self) -> None:
+    def _rebuild_fanout_cache_locked(self) -> None:
         """Recompute reply-fanout counts from the rsid index (used when
         reopening a persisted database)."""
         self._reply_counts.clear()
@@ -125,7 +134,8 @@ class MetadataDatabase:
 
     @property
     def size(self) -> int:
-        return len(self._sid_tree)
+        with self._lock:
+            return len(self._sid_tree)
 
     def __len__(self) -> int:
         return self.size
@@ -134,43 +144,48 @@ class MetadataDatabase:
     def max_sid(self) -> int:
         """The newest tweet id (== timestamp) in the relation; the
         temporal extension's notion of "now"."""
-        return self._max_sid
+        with self._lock:
+            return self._max_sid
 
     @property
     def max_reply_fanout(self) -> int:
         """``t_m`` of Definition 11: the largest number of direct replies /
         forwards any single tweet has received."""
-        return self._max_reply_fanout
+        with self._lock:
+            return self._max_reply_fanout
 
     @property
     def heap(self) -> HeapFile:
         """The record heap — exposed for deep invariant validation."""
-        return self._heap
+        with self._lock:
+            return self._heap
 
     def indexes(self) -> Dict[str, BPlusTree]:
         """The named B+-trees — exposed for deep invariant validation."""
-        return {"sid": self._sid_tree, "rsid": self._rsid_tree,
-                "uid": self._uid_tree}
+        with self._lock:
+            return {"sid": self._sid_tree, "rsid": self._rsid_tree,
+                    "uid": self._uid_tree}
 
     # -- writes ----------------------------------------------------------
 
     def insert(self, record: TweetRecord) -> None:
         """Insert one tweet record, maintaining both indexes and the
         fanout cache."""
-        if self._sid_tree.get((record.sid, 0)) is not None:
-            raise MetadataError(f"duplicate sid {record.sid}")
-        pointer = self._heap.insert(record.pack())
-        self._user_columns_cache.pop(record.uid, None)
-        self._sid_tree.insert((record.sid, 0), pointer)
-        if record.sid > self._max_sid:
-            self._max_sid = record.sid
-        self._uid_tree.insert((record.uid, record.sid), pointer)
-        if record.rsid != NO_REF:
-            self._rsid_tree.insert((record.rsid, record.sid), pointer)
-            count = self._reply_counts.get(record.rsid, 0) + 1
-            self._reply_counts[record.rsid] = count
-            if count > self._max_reply_fanout:
-                self._max_reply_fanout = count
+        with self._lock:
+            if self._sid_tree.get((record.sid, 0)) is not None:
+                raise MetadataError(f"duplicate sid {record.sid}")
+            pointer = self._heap.insert(record.pack())
+            self._user_columns_cache.pop(record.uid, None)
+            self._sid_tree.insert((record.sid, 0), pointer)
+            if record.sid > self._max_sid:
+                self._max_sid = record.sid
+            self._uid_tree.insert((record.uid, record.sid), pointer)
+            if record.rsid != NO_REF:
+                self._rsid_tree.insert((record.rsid, record.sid), pointer)
+                count = self._reply_counts.get(record.rsid, 0) + 1
+                self._reply_counts[record.rsid] = count
+                if count > self._max_reply_fanout:
+                    self._max_reply_fanout = count
 
     def bulk_load(self, records: Iterable[TweetRecord]) -> int:
         """Insert many records; returns the number loaded."""
@@ -184,18 +199,28 @@ class MetadataDatabase:
 
     def get(self, sid: int) -> Optional[TweetRecord]:
         """Point lookup by primary key."""
+        with self._lock:
+            return self._get_locked(sid)
+
+    def _get_locked(self, sid: int) -> Optional[TweetRecord]:
         pointer = self._sid_tree.get((sid, 0))
         if pointer is None:
             return None
         return TweetRecord.unpack(self._heap.read(pointer))
 
-    def get_many(self, sids: Iterable[int]) -> Dict[int, TweetRecord]:
-        """Batch point lookups: one sorted index pass (shared-path node
-        memo), then page-grouped heap reads.  Absent sids are missing
-        from the result."""
+    def _read_by_sid_locked(self, sids: Iterable[int]
+                            ) -> "tuple[List[tuple[int, int]], List[bytes]]":
+        """Sorted found sid keys and their heap records: one sorted index
+        pass, then page-grouped heap reads."""
         pointers = self._sid_tree.get_many([(sid, 0) for sid in sids])
         keys = sorted(pointers)
-        records = self._heap.read_many([pointers[key] for key in keys])
+        return keys, self._heap.read_many([pointers[key] for key in keys])
+
+    def get_many(self, sids: Iterable[int]) -> Dict[int, TweetRecord]:
+        """Batch point lookups: one sorted index pass, then page-grouped
+        heap reads.  Absent sids are missing from the result."""
+        with self._lock:
+            keys, records = self._read_by_sid_locked(sids)
         return {key[0]: TweetRecord.unpack(data)
                 for key, data in zip(keys, records)}
 
@@ -204,9 +229,8 @@ class MetadataDatabase:
         """Batch ``sid -> (uid, lat, lon)`` projection — the candidate
         resolution of Algorithms 4/5 line 16 over a whole batch, without
         materialising :class:`TweetRecord` objects."""
-        pointers = self._sid_tree.get_many([(sid, 0) for sid in sids])
-        keys = sorted(pointers)
-        records = self._heap.read_many([pointers[key] for key in keys])
+        with self._lock:
+            keys, records = self._read_by_sid_locked(sids)
         return {key[0]: unpack_resolved(data)
                 for key, data in zip(keys, records)}
 
@@ -222,68 +246,79 @@ class MetadataDatabase:
         :meth:`insert`).  Callers must treat the returned lists as
         read-only.
         """
-        cached = self._user_columns_cache.get(uid)
-        if cached is not None:
-            return cached
-        pointers = [pointer for _key, pointer in self._uid_tree.prefix(uid)]
-        lats: List[float] = []
-        lons: List[float] = []
-        for data in self._heap.read_many(pointers):
-            lat, lon = unpack_location(data)
-            lats.append(lat)
-            lons.append(lon)
-        self._user_columns_cache[uid] = (lats, lons)
-        return lats, lons
+        with self._lock:
+            cached = self._user_columns_cache.get(uid)
+            if cached is not None:
+                return cached
+            pointers = [pointer for _key, pointer in self._uid_tree.prefix(uid)]
+            lats: List[float] = []
+            lons: List[float] = []
+            for data in self._heap.read_many(pointers):
+                lat, lon = unpack_location(data)
+                lats.append(lat)
+                lons.append(lon)
+            self._user_columns_cache[uid] = (lats, lons)
+            return lats, lons
 
     def user_of(self, sid: int) -> Optional[int]:
         """``select userId where sid = ...`` (Algorithm 4 line 20)."""
-        record = self.get(sid)
+        with self._lock:
+            record = self._get_locked(sid)
         return record.uid if record is not None else None
 
     def replies_to(self, sid: int) -> List[TweetRecord]:
         """``select all where rsid equals to Id`` (Algorithm 1 line 7)."""
-        result = []
-        for _key, pointer in self._rsid_tree.prefix(sid):
-            result.append(TweetRecord.unpack(self._heap.read(pointer)))
-        return result
+        with self._lock:
+            records = [self._heap.read(pointer)
+                       for _key, pointer in self._rsid_tree.prefix(sid)]
+        return [TweetRecord.unpack(data) for data in records]
 
     def reply_count(self, sid: int) -> int:
         """Number of direct replies/forwards to ``sid`` without fetching
         the records."""
-        return self._reply_counts.get(sid, 0)
+        with self._lock:
+            return self._reply_counts.get(sid, 0)
 
     def posts_of_user(self, uid: int) -> List[TweetRecord]:
         """All tweets by ``uid`` (``P_u``), in sid order — the access
         path behind Definition 9's user distance score."""
-        result = []
-        for _key, pointer in self._uid_tree.prefix(uid):
-            result.append(TweetRecord.unpack(self._heap.read(pointer)))
-        return result
+        with self._lock:
+            records = [self._heap.read(pointer)
+                       for _key, pointer in self._uid_tree.prefix(uid)]
+        return [TweetRecord.unpack(data) for data in records]
 
     def post_count_of_user(self, uid: int) -> int:
         """``|P_u|`` without fetching heap records."""
-        return sum(1 for _ in self._uid_tree.prefix(uid))
+        with self._lock:
+            return sum(1 for _ in self._uid_tree.prefix(uid))
 
     def scan(self) -> Iterator[TweetRecord]:
         """Full relation scan in physical (ingestion) order."""
-        for _record_id, data in self._heap.scan():
+        with self._lock:
+            records = [data for _record_id, data in self._heap.scan()]
+        for data in records:
             yield TweetRecord.unpack(data)
 
     def sid_range(self, lo: int, hi: int) -> Iterator[TweetRecord]:
         """All tweets with ``lo <= sid <= hi`` in sid order (the temporal
         filtering hook the paper lists as future work)."""
-        for _key, pointer in self._sid_tree.range((lo, 0), (hi, 0)):
-            yield TweetRecord.unpack(self._heap.read(pointer))
+        with self._lock:
+            records = [self._heap.read(pointer) for _key, pointer
+                       in self._sid_tree.range((lo, 0), (hi, 0))]
+        for data in records:
+            yield TweetRecord.unpack(data)
 
     # -- maintenance ------------------------------------------------------
 
     def flush(self) -> None:
-        self._heap.flush()
-        self._sid_tree.flush()
-        self._rsid_tree.flush()
-        self._uid_tree.flush()
+        with self._lock:
+            self._heap.flush()
+            self._sid_tree.flush()
+            self._rsid_tree.flush()
+            self._uid_tree.flush()
 
     def check_invariants(self) -> None:
-        self._sid_tree.check_invariants()
-        self._rsid_tree.check_invariants()
-        self._uid_tree.check_invariants()
+        with self._lock:
+            self._sid_tree.check_invariants()
+            self._rsid_tree.check_invariants()
+            self._uid_tree.check_invariants()

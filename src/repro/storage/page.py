@@ -150,11 +150,6 @@ class SlottedPage:
     def live_count(self) -> int:
         return sum(1 for _ in self.records())
 
-    def capacity_for(self, record_size: int) -> int:
-        """How many records of ``record_size`` bytes fit in an empty page."""
-        usable = PAGE_SIZE - _HEADER_SIZE
-        return usable // (record_size + _SLOT_SIZE)
-
 
 def pack_record_id(page_no: int, slot: int) -> int:
     """Pack a ``(page_no, slot)`` pair into a single int64 record pointer."""

@@ -1,6 +1,7 @@
 """Tests for the disk-backed B+-tree, including hypothesis property
 tests of structural invariants under random operation sequences."""
 
+import hashlib
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.storage.bptree import (
     BPlusTree,
+    BPlusTreeError,
     DuplicateKeyError,
     INTERNAL_MAX,
     LEAF_MAX,
@@ -270,3 +272,91 @@ class TestPageReclamation:
         tree.check_invariants()
         # Page footprint must not grow unboundedly across churn rounds.
         assert pool._pager.page_count <= pages_after_build * 2
+
+
+class TestOnDiskLayout:
+    """Searches and inserts work on page bytes; the bytes they leave must
+    be those of the decode-and-re-encode design, so that existing page
+    files still open."""
+
+    #: sha256 over every page of the sequence below, produced by the
+    #: decode-and-re-encode tree (each insert re-serialised the whole
+    #: leaf) that preceded in-place insertion.
+    PAGES_SHA256 = ("61f38bf6a678031f690f541cead89e309eb8320117"
+                    "61f2edf80c784b7e07dc80")
+
+    def test_fixed_sequence_writes_pinned_pages(self):
+        pager = MemoryPager()
+        # Large enough that nothing is evicted: the digest pins what the
+        # tree writes, not the pool's eviction order.
+        tree = BPlusTree(BufferPool(pager, capacity=1024))
+        rng = random.Random(48)
+        expected = {}
+        for i in range(19_000):
+            tree.insert((2 * i, 0), i)
+            expected[(2 * i, 0)] = i
+        heights = [tree.height]
+        live = list(expected)
+        # Odd keys land mid-leaf (in-place shifts); deletes borrow from
+        # leaf and internal siblings, merge and finally collapse the root.
+        for step in range(3_000):
+            if step % 3 == 0:
+                key = (2 * rng.randrange(19_000) + 1, rng.randrange(-4, 4))
+                if tree.get(key) is None:
+                    tree.insert(key, -step)
+                    expected[key] = -step
+                    live.append(key)
+            else:
+                index = rng.randrange(len(live))
+                live[index], live[-1] = live[-1], live[index]
+                key = live.pop()
+                assert tree.delete(key)
+                del expected[key]
+            heights.append(tree.height)
+        tree.flush()
+
+        assert heights[0] == 3 and heights[-1] == 2
+        digest = hashlib.sha256()
+        for page_no in range(pager.page_count):
+            digest.update(pager.read_page(page_no).data)
+        assert digest.hexdigest() == self.PAGES_SHA256
+        assert list(tree.items()) == sorted(expected.items())
+        tree.check_invariants()
+
+
+class TestCorruptNodeHeaders:
+    def _tree_with_corrupt_leaf(self):
+        pool = BufferPool(MemoryPager(), capacity=8)
+        tree = BPlusTree(pool)
+        for i in range(10):
+            tree.insert((i, 0), i)
+        leaf_page = 1  # the root leaf of a one-level tree
+        with pool.pinned(leaf_page) as page:
+            page.data[1:3] = (LEAF_MAX + 1).to_bytes(2, "little")
+        return tree
+
+    def test_count_over_leaf_max_raises_tree_error(self):
+        tree = self._tree_with_corrupt_leaf()
+        with pytest.raises(BPlusTreeError, match="page 1"):
+            tree.get((3, 0))
+        with pytest.raises(BPlusTreeError, match="page 1"):
+            tree.get_many([(3, 0), (4, 0)])
+        with pytest.raises(BPlusTreeError, match="page 1"):
+            list(tree.prefix(3))
+        with pytest.raises(BPlusTreeError, match="page 1"):
+            tree.insert((20, 0), 20)
+        with pytest.raises(BPlusTreeError, match="page 1"):
+            tree.delete((3, 0))
+        with pytest.raises(BPlusTreeError, match="page 1"):
+            tree.check_invariants()
+
+    def test_unknown_node_type_raises_tree_error(self):
+        pool = BufferPool(MemoryPager(), capacity=8)
+        tree = BPlusTree(pool)
+        tree.insert((1, 0), 1)
+        with pool.pinned(1) as page:
+            page.data[0] = 7
+        with pytest.raises(BPlusTreeError, match="invalid node type 7"):
+            tree.get((1, 0))
+        with pytest.raises(BPlusTreeError, match="invalid node type 7"):
+            tree.check_invariants()
